@@ -116,10 +116,12 @@ std::vector<double> compute_variance_cell(
     Rng param_rng = circuit_stream.child(1 + initializer_index);
     const std::vector<double> params =
         initializer.initialize(circuit, param_rng);
-    // Each sample draws its own circuit *structure*, so samples cannot
-    // share a compiled plan or a batch: batching happens inside the
-    // engine's partial, which evaluates the sample's shifted bindings as
-    // one batched dispatch when the process batch limit allows it.
+    // The structure stream depends on (q, circuit) only, so every
+    // initializer's cell rebuilds and recompiles this same circuit; within
+    // a cell, samples share no plan. Batching happens inside the engine's
+    // partial (the sample's shifted bindings as one batched dispatch, when
+    // the process batch limit allows it), and batched and serial dispatch
+    // run the same kernel core, so the sample's bits do not depend on it.
     const double g = engine.partial(circuit, *observable, params, which);
     if (!std::isfinite(g)) {
       throw NumericalError(

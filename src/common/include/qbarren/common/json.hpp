@@ -119,13 +119,20 @@ class JsonValue {
 void write_json_file(const JsonValue& value, const std::string& path,
                      int indent = 2);
 
+/// Deepest container nesting parse_json accepts. The parser recurses once
+/// per level, and it reads untrusted bytes (serve request lines, worker
+/// frames, request files), so deeper input is refused instead of
+/// overflowing the stack. Nothing the library writes comes near it.
+inline constexpr std::size_t kMaxJsonDepth = 256;
+
 /// Parses an RFC 8259 JSON document (objects, arrays, strings with the
 /// standard escapes including \uXXXX surrogate pairs, numbers, booleans,
 /// null). Numbers without a fraction or exponent that fit std::int64_t
 /// parse as integers, everything else as doubles — so dump() output
 /// round-trips kind-exactly (non-finite doubles were dumped as null and
 /// come back as null). Throws InvalidArgument with a byte offset on
-/// malformed input or trailing garbage.
+/// malformed input, trailing garbage or nesting deeper than
+/// kMaxJsonDepth.
 [[nodiscard]] JsonValue parse_json(const std::string& text);
 
 }  // namespace qbarren

@@ -348,7 +348,27 @@ class JsonParser {
     }
   }
 
+  /// Counts one level of container nesting for the scope of a parse_object
+  /// or parse_array call; the parser recurses once per level, so the cap
+  /// bounds its stack use on hostile input.
+  class DepthGuard {
+   public:
+    explicit DepthGuard(JsonParser& parser) : parser_(parser) {
+      if (++parser_.depth_ > kMaxJsonDepth) {
+        parser_.fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+                     " levels");
+      }
+    }
+    ~DepthGuard() { --parser_.depth_; }
+    DepthGuard(const DepthGuard&) = delete;
+    DepthGuard& operator=(const DepthGuard&) = delete;
+
+   private:
+    JsonParser& parser_;
+  };
+
   JsonValue parse_object() {
+    const DepthGuard guard(*this);
     expect('{');
     JsonValue obj = JsonValue::object();
     skip_whitespace();
@@ -371,6 +391,7 @@ class JsonParser {
   }
 
   JsonValue parse_array() {
+    const DepthGuard guard(*this);
     expect('[');
     JsonValue arr = JsonValue::array();
     skip_whitespace();
@@ -512,6 +533,7 @@ class JsonParser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

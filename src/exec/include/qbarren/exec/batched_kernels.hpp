@@ -1,13 +1,12 @@
 // Batched state-vector kernels: one gate, many amplitude lanes.
 //
-// Each kernel applies a gate to lanes [0, lanes) of a BatchedStateVector,
-// running the corresponding serial kernel's loop body (qbarren/exec/
-// kernels.hpp) per lane: the same pair enumeration and the same complex
-// arithmetic per amplitude, with the matrix entries held in locals across
-// all lanes. Per-lane results are therefore bit-identical to applying the
-// serial kernel to each lane in its own StateVector — batching changes
-// how often the matrix is fetched and the trig is evaluated, never the
-// per-amplitude expressions.
+// Each kernel applies a gate to lanes [0, lanes) of a BatchedStateVector
+// by running the serial kernel's entry in the shared kernel core
+// (qbarren/exec/kernel_core.hpp) on the lanes' amplitudes — once per lane,
+// or once over all of them for a uniform gate. Per-lane results are
+// therefore bit-identical to applying the serial kernel to each lane in its
+// own StateVector — batching changes how often the matrix is fetched and
+// the trig is evaluated, never the per-amplitude expressions.
 //
 // The `_per_lane` variants take one Mat2 per lane (entries[b] applies to
 // lane b): parameterized ops in a batched dispatch bind a different angle
@@ -43,15 +42,16 @@ void batched_apply_rotation_per_lane(BatchedStateVector& batch,
                                      const gates::Mat2* entries,
                                      std::size_t target);
 
-/// u_first then u_second on `target` of every lane in one pass, keeping
-/// each amplitude pair in registers between the gates — bit-identical to
-/// two batched_apply_mat2 calls, exactly as the serial apply_mat2_pair.
+/// u_first then u_second on `target` of every lane as a two-gate fused run
+/// — bit-identical to two batched_apply_mat2 calls, as the serial
+/// apply_mat2_pair.
 void batched_apply_mat2_pair(BatchedStateVector& batch, std::size_t lanes,
                              const gates::Mat2& u_first,
                              const gates::Mat2& u_second, std::size_t target);
 
 /// Fused constant run (kFusedSingle): pool[indices[...]] applied in order
-/// (reversed when `reverse`) in one pass per lane, as apply_mat2_run.
+/// (reversed when `reverse`) to every lane in one kernel call, as
+/// apply_mat2_run.
 void batched_apply_mat2_run(BatchedStateVector& batch, std::size_t lanes,
                             const gates::Mat2* pool,
                             const std::uint32_t* indices, std::size_t count,
@@ -73,9 +73,8 @@ void batched_apply_controlled_per_lane(BatchedStateVector& batch,
 void batched_apply_cz(BatchedStateVector& batch, std::size_t lanes,
                       std::size_t qubit_a, std::size_t qubit_b);
 
-/// Generic 4x4 on (q_low, q_high) of every lane, mirroring
-/// StateVector::apply_two_qubit (matrix copied into locals once, same
-/// 4-group enumeration and row-accumulation order).
+/// Generic 4x4 on (q_low, q_high) of every lane, as the serial apply_mat4
+/// (StateVector::apply_two_qubit's row-accumulation order).
 void batched_apply_mat4(BatchedStateVector& batch, std::size_t lanes,
                         const ComplexMatrix& u, std::size_t q_low,
                         std::size_t q_high);

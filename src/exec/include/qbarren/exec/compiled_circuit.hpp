@@ -11,9 +11,10 @@
 //     across all applications; see also the function-local statics in
 //     qbarren/qsim/gates.hpp);
 //   * adjacent constant single-qubit gates on the same qubit are fused
-//     into a single one-pass kernel (their matrices are applied
-//     sequentially in registers, so the arithmetic — and therefore the
-//     result — is identical to applying them one at a time);
+//     into a single kernel call (their matrices are applied one after
+//     another to each L1-sized chunk of the amplitudes, so the arithmetic
+//     — and therefore the result — is identical to applying them one at a
+//     time);
 //   * parameterized rotations run through allocation-free kernels
 //     (qbarren/exec/kernels.hpp) instead of heap-matrix dispatch;
 //   * a parameter -> op binding table replaces the linear
@@ -111,7 +112,7 @@ class CompiledCircuit final : public ExecutionPlan {
   // bindings at once (qbarren/qsim/batched_statevector.hpp holds the B
   // amplitude lanes). Parameterized ops bind a per-lane angle through a
   // per-op angle table indexed by `batch_rotation_slots()`; constant ops
-  // apply their pooled matrix to every lane while it sits in registers.
+  // apply their pooled matrix to all lanes in one kernel call.
   // Per-lane arithmetic is the serial kernels' per amplitude, so lane b of
   // simulate_batch is bit-identical to simulate(binding b).
 
@@ -144,7 +145,7 @@ class CompiledCircuit final : public ExecutionPlan {
                            const gates::Mat2* entries) const;
 
   /// Applies plan ops `k` and `k+1` — which must both be kRotation on the
-  /// same qubit — to lanes [0, lanes) in one pass per lane, with uniform
+  /// same qubit — to lanes [0, lanes) in one kernel call, with uniform
   /// entries for all lanes (the batched shift walk applies unshifted
   /// suffix ops to every lane). Bit-identical to two single applications
   /// per lane, as the serial apply_mat2_pair.

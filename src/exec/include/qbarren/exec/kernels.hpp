@@ -1,12 +1,16 @@
 // Allocation-free state-vector kernels for compiled execution.
 //
-// Each kernel mirrors the corresponding StateVector member
-// (apply_single_qubit / apply_controlled / apply_two_qubit) expression for
-// expression: the same pair enumeration and the same complex arithmetic
-// per amplitude. That is what makes compiled execution bit-identical to
-// the interpreted path — the differences are that the 2x2 entries live on
-// the stack (no heap-allocated ComplexMatrix per gate application), that
-// fused runs make a single pass over the amplitudes, and that the
+// Each kernel computes, amplitude for amplitude, the same values as the
+// corresponding StateVector member (apply_single_qubit / apply_controlled
+// / apply_cz / apply_two_qubit): the same complex arithmetic per
+// amplitude, so compiled execution is bit-identical to the interpreted
+// path. The in-place and out-of-place loops run in the shared, vectorized
+// kernel core (qbarren/exec/kernel_core.hpp), which walks the amplitude
+// pairs in contiguous runs rather than the interpreter's order — in-place
+// updates of disjoint pairs do not depend on order. The other differences
+// are that the 2x2 entries live on the stack (no heap-allocated
+// ComplexMatrix per gate application), that fused runs apply all their
+// gates to one L1-sized chunk of amplitudes before the next, and that the
 // out-of-place variants avoid the full-vector copy the adjoint sweep
 // otherwise pays per parameter.
 #pragma once
@@ -22,9 +26,9 @@ namespace qbarren::exec {
 void apply_mat2(StateVector& state, const gates::Mat2& u, std::size_t target);
 
 /// Applies pool[indices[0]], pool[indices[1]], ... (reversed index order
-/// when `reverse`) to `target` in one pass over the amplitudes, keeping
-/// each amplitude pair in registers between gates. Bit-identical to
-/// applying the same matrices one at a time.
+/// when `reverse`) to `target` in one kernel call: every gate runs over
+/// one L1-sized chunk of the amplitudes before the next chunk is loaded.
+/// Bit-identical to applying the same matrices one at a time.
 void apply_mat2_run(StateVector& state, const gates::Mat2* pool,
                     const std::uint32_t* indices, std::size_t count,
                     bool reverse, std::size_t target);
@@ -51,23 +55,12 @@ void apply_controlled_rotation(StateVector& state, gates::Axis axis,
 void apply_rotation_mat2(StateVector& state, gates::Axis axis,
                          const gates::Mat2& u, std::size_t target);
 
-/// Applies u_first then u_second to `target` in one pass, keeping each
-/// amplitude pair in registers between the two gates — bit-identical to
-/// two apply_mat2 calls, as with apply_mat2_run. HEA layers interleave
+/// Applies u_first then u_second to `target` as a two-gate apply_mat2_run
+/// — bit-identical to two apply_mat2 calls. HEA layers interleave
 /// same-qubit rotation pairs (RX then RY), so the adjoint forward pass
 /// hits this constantly.
 void apply_mat2_pair(StateVector& state, const gates::Mat2& u_first,
                      const gates::Mat2& u_second, std::size_t target);
-
-/// <lambda | (U on target) | phi> in a single pass. Visits amplitudes in
-/// the same ascending-index order as StateVector::inner_product and forms
-/// each (U phi)[i] with apply_mat2_from's expression, so the result is the
-/// one inner_product would return on a materialized U|phi> — without
-/// writing (or re-reading) the intermediate vector.
-[[nodiscard]] Complex inner_product_mat2(const StateVector& lambda,
-                                         const StateVector& phi,
-                                         const gates::Mat2& u,
-                                         std::size_t target);
 
 /// CZ on (a, b): negates the quarter of the amplitudes with both qubit
 /// bits set, enumerating that subspace directly instead of scanning the
@@ -75,16 +68,16 @@ void apply_mat2_pair(StateVector& state, const gates::Mat2& u_first,
 /// bit-identical to StateVector::apply_cz.
 void apply_cz(StateVector& state, std::size_t qubit_a, std::size_t qubit_b);
 
-/// CZ applied to two states in one pass (the adjoint sweep un-applies
-/// every constant gate from both phi and lambda).
-void apply_cz_pair(StateVector& s1, StateVector& s2, std::size_t qubit_a,
-                   std::size_t qubit_b);
-
 /// dst <- (U on target) src, out of place: every amplitude of dst is
 /// written from src, so no prior copy of src into dst is needed.
 /// Dimensions must match.
 void apply_mat2_from(StateVector& dst, const StateVector& src,
                      const gates::Mat2& u, std::size_t target);
+
+/// In-place 4x4 on (q_low, q_high) (matrix bit 0 = q_low), with
+/// StateVector::apply_two_qubit's row-accumulation order.
+void apply_mat4(StateVector& state, const ComplexMatrix& u, std::size_t q_low,
+                std::size_t q_high);
 
 /// Out-of-place 4x4 apply mirroring apply_two_qubit's accumulation order
 /// (matrix bit 0 = q_low). Dimensions must match.

@@ -151,7 +151,7 @@ std::vector<double> shifted_expectations(const CompiledCircuit& plan,
           ops[k + 1].kernel == Kernel::kRotation &&
           ops[k + 1].qubit0 == ops[k].qubit0) {
         // Same-qubit rotation pair with no lane branching at either op:
-        // both gates in one pass per lane, entries computed once for the
+        // both gates in one kernel call, entries computed once for the
         // whole batch (bit-identical to two single applications, as the
         // adjoint forward pass's apply_mat2_pair).
         const gates::Mat2 first =

@@ -1,265 +1,88 @@
 #include "qbarren/exec/batched_kernels.hpp"
 
-#include <algorithm>
+#include "core_args.hpp"
 
 namespace qbarren::exec {
 
-// Every lane loop below runs the serial kernel's body (kernels.cpp /
-// statevector.cpp) on that lane's amplitudes: identical pair enumeration,
-// identical per-amplitude arithmetic. Lanes are independent, so looping
-// them outside the serial body cannot change any per-lane value.
-//
-// The complex products are expanded to the naive component formula the
-// compiler inlines for finite std::complex operands. The library multiply
-// only diverges from this expansion through its NaN fixup (__muldc3),
-// which never fires on the finite amplitudes and gate entries a valid
-// simulation produces — so per-lane results stay bit-identical while the
-// per-product NaN branch (which blocks pipelining across amplitude pairs)
-// disappears from the hot loops.
+// Every batched kernel runs the serial kernel's core entry (kernel_core.inc)
+// on the lanes' amplitudes. Per-lane kernels call it once per lane. Uniform
+// kernels call it once on lanes [0, lanes) as one vector of lanes * dim
+// amplitudes: lanes are contiguous and each is a whole number of the core's
+// 2^(qubit+1)-amplitude blocks, so that walk visits exactly the per-lane
+// pairs. Either way each lane is bit-identical to the serial kernel on its
+// own StateVector.
 
 namespace {
 
-/// One complex value held as two scalars, for branch-free products.
-struct RawC {
-  double re;
-  double im;
-};
-
-inline RawC raw(const Complex& c) { return RawC{c.real(), c.imag()}; }
-
-/// a * b by the naive formula: same scalar products, same summation order
-/// as the inlined finite-path std::complex multiply.
-inline RawC cmul(RawC a, RawC b) {
-  return RawC{a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re};
+double* lane(BatchedStateVector& batch, std::size_t b) {
+  return as_doubles(batch.lane_data(b));
 }
 
-inline RawC cadd(RawC a, RawC b) { return RawC{a.re + b.re, a.im + b.im}; }
-
-inline Complex pack(RawC a) { return Complex{a.re, a.im}; }
-
-/// u00*a0 + u01*a1 with the serial kernel's operand order.
-inline RawC mat2_row(RawC u0, RawC u1, RawC a0, RawC a1) {
-  return cadd(cmul(u0, a0), cmul(u1, a1));
+/// Amplitudes in lanes [0, lanes).
+std::size_t span(const BatchedStateVector& batch, std::size_t lanes) {
+  return lanes * batch.dimension();
 }
 
 }  // namespace
 
 void batched_apply_mat2(BatchedStateVector& batch, std::size_t lanes,
                         const gates::Mat2& u, std::size_t target) {
-  const RawC u00 = raw(u.m00);
-  const RawC u01 = raw(u.m01);
-  const RawC u10 = raw(u.m10);
-  const RawC u11 = raw(u.m11);
-  const std::size_t bit = std::size_t{1} << target;
-  const std::size_t dim = batch.dimension();
-  const std::size_t low_mask = bit - 1;
-  // Two lanes per pass: their updates are independent, which keeps two
-  // dependency chains in flight per amplitude pair. Each lane still sees
-  // exactly the single-lane expressions.
-  std::size_t b = 0;
-  for (; b + 1 < lanes; b += 2) {
-    Complex* ampsx = batch.lane_data(b);
-    Complex* ampsy = batch.lane_data(b + 1);
-    for (std::size_t i = 0; i < dim / 2; ++i) {
-      const std::size_t i0 = ((i & ~low_mask) << 1) | (i & low_mask);
-      const std::size_t i1 = i0 | bit;
-      const RawC x0 = raw(ampsx[i0]);
-      const RawC x1 = raw(ampsx[i1]);
-      const RawC y0 = raw(ampsy[i0]);
-      const RawC y1 = raw(ampsy[i1]);
-      ampsx[i0] = pack(mat2_row(u00, u01, x0, x1));
-      ampsx[i1] = pack(mat2_row(u10, u11, x0, x1));
-      ampsy[i0] = pack(mat2_row(u00, u01, y0, y1));
-      ampsy[i1] = pack(mat2_row(u10, u11, y0, y1));
-    }
-  }
-  for (; b < lanes; ++b) {
-    Complex* amps = batch.lane_data(b);
-    for (std::size_t i = 0; i < dim / 2; ++i) {
-      const std::size_t i0 = ((i & ~low_mask) << 1) | (i & low_mask);
-      const std::size_t i1 = i0 | bit;
-      const RawC a0 = raw(amps[i0]);
-      const RawC a1 = raw(amps[i1]);
-      amps[i0] = pack(mat2_row(u00, u01, a0, a1));
-      amps[i1] = pack(mat2_row(u10, u11, a0, a1));
-    }
-  }
+  core::active_kernels().mat2(lane(batch, 0), span(batch, lanes),
+                              as_doubles(&u), target);
 }
 
 void batched_apply_mat2_per_lane(BatchedStateVector& batch, std::size_t lanes,
                                  const gates::Mat2* entries,
                                  std::size_t target) {
-  const std::size_t bit = std::size_t{1} << target;
-  const std::size_t dim = batch.dimension();
-  const std::size_t low_mask = bit - 1;
+  const core::KernelTable& k = core::active_kernels();
   for (std::size_t b = 0; b < lanes; ++b) {
-    const RawC u00 = raw(entries[b].m00);
-    const RawC u01 = raw(entries[b].m01);
-    const RawC u10 = raw(entries[b].m10);
-    const RawC u11 = raw(entries[b].m11);
-    Complex* amps = batch.lane_data(b);
-    for (std::size_t i = 0; i < dim / 2; ++i) {
-      const std::size_t i0 = ((i & ~low_mask) << 1) | (i & low_mask);
-      const std::size_t i1 = i0 | bit;
-      const RawC a0 = raw(amps[i0]);
-      const RawC a1 = raw(amps[i1]);
-      amps[i0] = pack(mat2_row(u00, u01, a0, a1));
-      amps[i1] = pack(mat2_row(u10, u11, a0, a1));
-    }
+    k.mat2(lane(batch, b), batch.dimension(), as_doubles(&entries[b]),
+           target);
   }
 }
-
-namespace {
-
-// RZ diagonal body, as apply_rotation_mat2's fast path: the off-diagonal
-// entries are exact zeros, so the skipped products only ever add a signed
-// zero.
-inline void diagonal_lane(Complex* amps, std::size_t dim, std::size_t bit,
-                          std::size_t low_mask, const RawC u00,
-                          const RawC u11) {
-  for (std::size_t i = 0; i < dim / 2; ++i) {
-    const std::size_t i0 = ((i & ~low_mask) << 1) | (i & low_mask);
-    const std::size_t i1 = i0 | bit;
-    amps[i0] = pack(cmul(u00, raw(amps[i0])));
-    amps[i1] = pack(cmul(u11, raw(amps[i1])));
-  }
-}
-
-}  // namespace
 
 void batched_apply_rotation_mat2(BatchedStateVector& batch, std::size_t lanes,
                                  gates::Axis axis, const gates::Mat2& u,
                                  std::size_t target) {
-  if (axis == gates::Axis::kZ) {
-    const RawC u00 = raw(u.m00);
-    const RawC u11 = raw(u.m11);
-    const std::size_t bit = std::size_t{1} << target;
-    const std::size_t dim = batch.dimension();
-    const std::size_t low_mask = bit - 1;
-    for (std::size_t b = 0; b < lanes; ++b) {
-      diagonal_lane(batch.lane_data(b), dim, bit, low_mask, u00, u11);
-    }
-    return;
-  }
-  batched_apply_mat2(batch, lanes, u, target);
+  const core::KernelTable& k = core::active_kernels();
+  (axis == gates::Axis::kZ ? k.diag : k.mat2)(
+      lane(batch, 0), span(batch, lanes), as_doubles(&u), target);
 }
 
 void batched_apply_rotation_per_lane(BatchedStateVector& batch,
                                      std::size_t lanes, gates::Axis axis,
                                      const gates::Mat2* entries,
                                      std::size_t target) {
-  if (axis == gates::Axis::kZ) {
-    const std::size_t bit = std::size_t{1} << target;
-    const std::size_t dim = batch.dimension();
-    const std::size_t low_mask = bit - 1;
-    for (std::size_t b = 0; b < lanes; ++b) {
-      diagonal_lane(batch.lane_data(b), dim, bit, low_mask,
-                    raw(entries[b].m00), raw(entries[b].m11));
-    }
-    return;
+  const core::KernelTable& k = core::active_kernels();
+  const auto kernel = axis == gates::Axis::kZ ? k.diag : k.mat2;
+  for (std::size_t b = 0; b < lanes; ++b) {
+    kernel(lane(batch, b), batch.dimension(), as_doubles(&entries[b]),
+           target);
   }
-  batched_apply_mat2_per_lane(batch, lanes, entries, target);
 }
 
 void batched_apply_mat2_pair(BatchedStateVector& batch, std::size_t lanes,
                              const gates::Mat2& u_first,
                              const gates::Mat2& u_second, std::size_t target) {
-  const RawC f00 = raw(u_first.m00);
-  const RawC f01 = raw(u_first.m01);
-  const RawC f10 = raw(u_first.m10);
-  const RawC f11 = raw(u_first.m11);
-  const RawC s00 = raw(u_second.m00);
-  const RawC s01 = raw(u_second.m01);
-  const RawC s10 = raw(u_second.m10);
-  const RawC s11 = raw(u_second.m11);
-  const std::size_t bit = std::size_t{1} << target;
-  const std::size_t dim = batch.dimension();
-  const std::size_t low_mask = bit - 1;
-  // Two lanes per pass, as batched_apply_mat2.
-  std::size_t b = 0;
-  for (; b + 1 < lanes; b += 2) {
-    Complex* ampsx = batch.lane_data(b);
-    Complex* ampsy = batch.lane_data(b + 1);
-    for (std::size_t i = 0; i < dim / 2; ++i) {
-      const std::size_t i0 = ((i & ~low_mask) << 1) | (i & low_mask);
-      const std::size_t i1 = i0 | bit;
-      const RawC x0 = raw(ampsx[i0]);
-      const RawC x1 = raw(ampsx[i1]);
-      const RawC y0 = raw(ampsy[i0]);
-      const RawC y1 = raw(ampsy[i1]);
-      const RawC bx0 = mat2_row(f00, f01, x0, x1);
-      const RawC bx1 = mat2_row(f10, f11, x0, x1);
-      const RawC by0 = mat2_row(f00, f01, y0, y1);
-      const RawC by1 = mat2_row(f10, f11, y0, y1);
-      ampsx[i0] = pack(mat2_row(s00, s01, bx0, bx1));
-      ampsx[i1] = pack(mat2_row(s10, s11, bx0, bx1));
-      ampsy[i0] = pack(mat2_row(s00, s01, by0, by1));
-      ampsy[i1] = pack(mat2_row(s10, s11, by0, by1));
-    }
-  }
-  for (; b < lanes; ++b) {
-    Complex* amps = batch.lane_data(b);
-    for (std::size_t i = 0; i < dim / 2; ++i) {
-      const std::size_t i0 = ((i & ~low_mask) << 1) | (i & low_mask);
-      const std::size_t i1 = i0 | bit;
-      const RawC a0 = raw(amps[i0]);
-      const RawC a1 = raw(amps[i1]);
-      const RawC b0 = mat2_row(f00, f01, a0, a1);
-      const RawC b1 = mat2_row(f10, f11, a0, a1);
-      amps[i0] = pack(mat2_row(s00, s01, b0, b1));
-      amps[i1] = pack(mat2_row(s10, s11, b0, b1));
-    }
-  }
+  const gates::Mat2 both[2] = {u_first, u_second};
+  const std::uint32_t order[2] = {0, 1};
+  batched_apply_mat2_run(batch, lanes, both, order, 2, false, target);
 }
 
 void batched_apply_mat2_run(BatchedStateVector& batch, std::size_t lanes,
                             const gates::Mat2* pool,
                             const std::uint32_t* indices, std::size_t count,
                             bool reverse, std::size_t target) {
-  const std::size_t bit = std::size_t{1} << target;
-  const std::size_t dim = batch.dimension();
-  const std::size_t low_mask = bit - 1;
-  for (std::size_t b = 0; b < lanes; ++b) {
-    Complex* amps = batch.lane_data(b);
-    for (std::size_t i = 0; i < dim / 2; ++i) {
-      const std::size_t i0 = ((i & ~low_mask) << 1) | (i & low_mask);
-      const std::size_t i1 = i0 | bit;
-      RawC a0 = raw(amps[i0]);
-      RawC a1 = raw(amps[i1]);
-      for (std::size_t j = 0; j < count; ++j) {
-        const gates::Mat2& u = pool[indices[reverse ? count - 1 - j : j]];
-        const RawC b0 = mat2_row(raw(u.m00), raw(u.m01), a0, a1);
-        const RawC b1 = mat2_row(raw(u.m10), raw(u.m11), a0, a1);
-        a0 = b0;
-        a1 = b1;
-      }
-      amps[i0] = pack(a0);
-      amps[i1] = pack(a1);
-    }
-  }
+  core::active_kernels().mat2_run(lane(batch, 0), span(batch, lanes),
+                                  as_doubles(pool), indices, count, reverse,
+                                  target);
 }
 
 void batched_apply_controlled_mat2(BatchedStateVector& batch,
                                    std::size_t lanes, const gates::Mat2& u,
                                    std::size_t control, std::size_t target) {
-  const RawC u00 = raw(u.m00);
-  const RawC u01 = raw(u.m01);
-  const RawC u10 = raw(u.m10);
-  const RawC u11 = raw(u.m11);
-  const std::size_t cbit = std::size_t{1} << control;
-  const std::size_t tbit = std::size_t{1} << target;
-  const std::size_t dim = batch.dimension();
-  for (std::size_t b = 0; b < lanes; ++b) {
-    Complex* amps = batch.lane_data(b);
-    for (std::size_t i0 = 0; i0 < dim; ++i0) {
-      if ((i0 & cbit) == 0 || (i0 & tbit) != 0) continue;
-      const std::size_t i1 = i0 | tbit;
-      const RawC a0 = raw(amps[i0]);
-      const RawC a1 = raw(amps[i1]);
-      amps[i0] = pack(mat2_row(u00, u01, a0, a1));
-      amps[i1] = pack(mat2_row(u10, u11, a0, a1));
-    }
-  }
+  core::active_kernels().controlled(lane(batch, 0), span(batch, lanes),
+                                    as_doubles(&u), control, target);
 }
 
 void batched_apply_controlled_per_lane(BatchedStateVector& batch,
@@ -267,82 +90,24 @@ void batched_apply_controlled_per_lane(BatchedStateVector& batch,
                                        const gates::Mat2* entries,
                                        std::size_t control,
                                        std::size_t target) {
-  const std::size_t cbit = std::size_t{1} << control;
-  const std::size_t tbit = std::size_t{1} << target;
-  const std::size_t dim = batch.dimension();
+  const core::KernelTable& k = core::active_kernels();
   for (std::size_t b = 0; b < lanes; ++b) {
-    const RawC u00 = raw(entries[b].m00);
-    const RawC u01 = raw(entries[b].m01);
-    const RawC u10 = raw(entries[b].m10);
-    const RawC u11 = raw(entries[b].m11);
-    Complex* amps = batch.lane_data(b);
-    for (std::size_t i0 = 0; i0 < dim; ++i0) {
-      if ((i0 & cbit) == 0 || (i0 & tbit) != 0) continue;
-      const std::size_t i1 = i0 | tbit;
-      const RawC a0 = raw(amps[i0]);
-      const RawC a1 = raw(amps[i1]);
-      amps[i0] = pack(mat2_row(u00, u01, a0, a1));
-      amps[i1] = pack(mat2_row(u10, u11, a0, a1));
-    }
+    k.controlled(lane(batch, b), batch.dimension(), as_doubles(&entries[b]),
+                 control, target);
   }
 }
-
-namespace {
-// Ascending enumeration of the basis indices with both qubit bits set, as
-// in kernels.cpp.
-inline std::size_t both_set_index(std::size_t x, std::size_t low_mask,
-                                  std::size_t high_mask, std::size_t bits) {
-  const std::size_t t = ((x & ~low_mask) << 1) | (x & low_mask);
-  return (((t & ~high_mask) << 1) | (t & high_mask)) | bits;
-}
-}  // namespace
 
 void batched_apply_cz(BatchedStateVector& batch, std::size_t lanes,
                       std::size_t qubit_a, std::size_t qubit_b) {
-  const std::size_t bl = std::size_t{1} << std::min(qubit_a, qubit_b);
-  const std::size_t bh = std::size_t{1} << std::max(qubit_a, qubit_b);
-  const std::size_t lm = bl - 1;
-  const std::size_t hm = bh - 1;
-  const std::size_t dim = batch.dimension();
-  for (std::size_t b = 0; b < lanes; ++b) {
-    Complex* amps = batch.lane_data(b);
-    for (std::size_t x = 0; x < dim / 4; ++x) {
-      const std::size_t i = both_set_index(x, lm, hm, bl | bh);
-      amps[i] = -amps[i];
-    }
-  }
+  core::active_kernels().cz(lane(batch, 0), span(batch, lanes), qubit_a,
+                            qubit_b);
 }
 
 void batched_apply_mat4(BatchedStateVector& batch, std::size_t lanes,
                         const ComplexMatrix& u, std::size_t q_low,
                         std::size_t q_high) {
-  const std::size_t bl = std::size_t{1} << q_low;
-  const std::size_t bh = std::size_t{1} << q_high;
-  const std::size_t dim = batch.dimension();
-  RawC m[4][4];
-  for (std::size_t r = 0; r < 4; ++r) {
-    for (std::size_t c = 0; c < 4; ++c) {
-      m[r][c] = raw(u.at_unchecked(r, c));
-    }
-  }
-  for (std::size_t b = 0; b < lanes; ++b) {
-    Complex* amps = batch.lane_data(b);
-    for (std::size_t i = 0; i < dim; ++i) {
-      if ((i & bl) != 0 || (i & bh) != 0) continue;  // base of each 4-group
-      const std::size_t idx[4] = {i, i | bl, i | bh, i | bl | bh};
-      RawC in[4];
-      for (std::size_t k = 0; k < 4; ++k) {
-        in[k] = raw(amps[idx[k]]);
-      }
-      for (std::size_t r = 0; r < 4; ++r) {
-        RawC acc{0.0, 0.0};
-        for (std::size_t c = 0; c < 4; ++c) {
-          acc = cadd(acc, cmul(m[r][c], in[c]));
-        }
-        amps[idx[r]] = pack(acc);
-      }
-    }
-  }
+  core::active_kernels().mat4(lane(batch, 0), span(batch, lanes),
+                              as_doubles(u.data().data()), q_low, q_high);
 }
 
 }  // namespace qbarren::exec

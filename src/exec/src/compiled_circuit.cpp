@@ -481,7 +481,7 @@ double CompiledCircuit::adjoint_value_and_gradient(
     const PlanOp& op = plan_ops_[k];
     if (op.kernel == Kernel::kRotation) {
       // HEA layers put same-qubit rotation pairs back to back (RX then
-      // RY); run both in one pass when they are.
+      // RY); run both in one kernel call when they are.
       if (k + 1 < n && plan_ops_[k + 1].kernel == Kernel::kRotation &&
           plan_ops_[k + 1].qubit0 == op.qubit0) {
         apply_mat2_pair(phi, fwd[k], fwd[k + 1], op.qubit0);
@@ -569,7 +569,7 @@ void CompiledCircuit::apply_plan_op(std::size_t k, StateVector& state,
       apply_cz(state, op.qubit0, op.qubit1);
       return;
     case Kernel::kFixedTwo:
-      state.apply_two_qubit(pool4_[op.matrix], op.qubit0, op.qubit1);
+      apply_mat4(state, pool4_[op.matrix], op.qubit0, op.qubit1);
       return;
   }
   throw InvalidArgument("CompiledCircuit::apply_plan_op: unknown kernel");
@@ -606,7 +606,7 @@ void CompiledCircuit::apply_plan_op_inverse(
       apply_cz(state, op.qubit0, op.qubit1);
       return;
     case Kernel::kFixedTwo:
-      state.apply_two_qubit(pool4_inv_[op.matrix], op.qubit0, op.qubit1);
+      apply_mat4(state, pool4_inv_[op.matrix], op.qubit0, op.qubit1);
       return;
   }
   throw InvalidArgument(
@@ -634,11 +634,6 @@ void CompiledCircuit::apply_plan_op_inverse_pair(
         gates::rotation_entries(op.axis, -params[op.param]);
     apply_controlled_mat2(a, e, op.qubit0, op.qubit1);
     apply_controlled_mat2(b, e, op.qubit0, op.qubit1);
-    return;
-  }
-  if (op.kernel == Kernel::kCzGate) {
-    // Self-inverse, and negation-only: flip both states in one pass.
-    apply_cz_pair(a, b, op.qubit0, op.qubit1);
     return;
   }
   apply_plan_op_inverse(k, a, params);

@@ -1,105 +1,51 @@
 #include "qbarren/exec/kernels.hpp"
 
-#include <algorithm>
+#include "core_args.hpp"
 
 namespace qbarren::exec {
 
-// The loops below intentionally reproduce the StateVector kernels'
-// structure (statevector.cpp) so both execution paths perform the same
-// floating-point operations in the same order. Bounds are validated once
-// at compile (lowering) time, not per application.
+// The in-place and out-of-place amplitude loops run in the shared kernel
+// core (kernel_core.inc), which batched execution runs too;
+// adjoint_rotation_sweep and apply_mat4_from keep their std::complex loops
+// here: the sweep's ascending-index accumulation order is part of its
+// result, and the out-of-place 4x4 only serves controlled-rotation
+// derivatives. Bounds are validated once at compile
+// (lowering) time, not per application.
+
+namespace {
+
+double* amps_of(StateVector& state) {
+  return as_doubles(state.amplitudes().data());
+}
+
+}  // namespace
 
 void apply_mat2(StateVector& state, const gates::Mat2& u,
                 std::size_t target) {
-  auto& amps = state.amplitudes();
-  // Local copies: `u` may be a pool reference whose Complex members could
-  // alias the amplitude array as far as the compiler knows; locals keep
-  // the loop reload-free and vectorizable (as in StateVector's kernels).
-  const Complex u00 = u.m00;
-  const Complex u01 = u.m01;
-  const Complex u10 = u.m10;
-  const Complex u11 = u.m11;
-  const std::size_t bit = std::size_t{1} << target;
-  const std::size_t dim = amps.size();
-  const std::size_t low_mask = bit - 1;
-  for (std::size_t i = 0; i < dim / 2; ++i) {
-    const std::size_t i0 = ((i & ~low_mask) << 1) | (i & low_mask);
-    const std::size_t i1 = i0 | bit;
-    const Complex a0 = amps[i0];
-    const Complex a1 = amps[i1];
-    amps[i0] = u00 * a0 + u01 * a1;
-    amps[i1] = u10 * a0 + u11 * a1;
-  }
+  core::active_kernels().mat2(amps_of(state), state.dimension(),
+                              as_doubles(&u), target);
 }
 
 void apply_mat2_pair(StateVector& state, const gates::Mat2& u_first,
                      const gates::Mat2& u_second, std::size_t target) {
-  auto& amps = state.amplitudes();
-  const Complex f00 = u_first.m00;
-  const Complex f01 = u_first.m01;
-  const Complex f10 = u_first.m10;
-  const Complex f11 = u_first.m11;
-  const Complex s00 = u_second.m00;
-  const Complex s01 = u_second.m01;
-  const Complex s10 = u_second.m10;
-  const Complex s11 = u_second.m11;
-  const std::size_t bit = std::size_t{1} << target;
-  const std::size_t dim = amps.size();
-  const std::size_t low_mask = bit - 1;
-  for (std::size_t i = 0; i < dim / 2; ++i) {
-    const std::size_t i0 = ((i & ~low_mask) << 1) | (i & low_mask);
-    const std::size_t i1 = i0 | bit;
-    const Complex a0 = amps[i0];
-    const Complex a1 = amps[i1];
-    const Complex b0 = f00 * a0 + f01 * a1;
-    const Complex b1 = f10 * a0 + f11 * a1;
-    amps[i0] = s00 * b0 + s01 * b1;
-    amps[i1] = s10 * b0 + s11 * b1;
-  }
+  const gates::Mat2 both[2] = {u_first, u_second};
+  const std::uint32_t order[2] = {0, 1};
+  core::active_kernels().mat2_run(amps_of(state), state.dimension(),
+                                  as_doubles(both), order, 2, false, target);
 }
 
 void apply_mat2_run(StateVector& state, const gates::Mat2* pool,
                     const std::uint32_t* indices, std::size_t count,
                     bool reverse, std::size_t target) {
-  auto& amps = state.amplitudes();
-  const std::size_t bit = std::size_t{1} << target;
-  const std::size_t dim = amps.size();
-  const std::size_t low_mask = bit - 1;
-  for (std::size_t i = 0; i < dim / 2; ++i) {
-    const std::size_t i0 = ((i & ~low_mask) << 1) | (i & low_mask);
-    const std::size_t i1 = i0 | bit;
-    Complex a0 = amps[i0];
-    Complex a1 = amps[i1];
-    for (std::size_t j = 0; j < count; ++j) {
-      const gates::Mat2& u = pool[indices[reverse ? count - 1 - j : j]];
-      const Complex b0 = u.m00 * a0 + u.m01 * a1;
-      const Complex b1 = u.m10 * a0 + u.m11 * a1;
-      a0 = b0;
-      a1 = b1;
-    }
-    amps[i0] = a0;
-    amps[i1] = a1;
-  }
+  core::active_kernels().mat2_run(amps_of(state), state.dimension(),
+                                  as_doubles(pool), indices, count, reverse,
+                                  target);
 }
 
 void apply_controlled_mat2(StateVector& state, const gates::Mat2& u,
                            std::size_t control, std::size_t target) {
-  auto& amps = state.amplitudes();
-  const Complex u00 = u.m00;
-  const Complex u01 = u.m01;
-  const Complex u10 = u.m10;
-  const Complex u11 = u.m11;
-  const std::size_t cbit = std::size_t{1} << control;
-  const std::size_t tbit = std::size_t{1} << target;
-  const std::size_t dim = amps.size();
-  for (std::size_t i0 = 0; i0 < dim; ++i0) {
-    if ((i0 & cbit) == 0 || (i0 & tbit) != 0) continue;
-    const std::size_t i1 = i0 | tbit;
-    const Complex a0 = amps[i0];
-    const Complex a1 = amps[i1];
-    amps[i0] = u00 * a0 + u01 * a1;
-    amps[i1] = u10 * a0 + u11 * a1;
-  }
+  core::active_kernels().controlled(amps_of(state), state.dimension(),
+                                    as_doubles(&u), control, target);
 }
 
 void apply_rotation(StateVector& state, gates::Axis axis, double theta,
@@ -110,24 +56,11 @@ void apply_rotation(StateVector& state, gates::Axis axis, double theta,
 
 void apply_rotation_mat2(StateVector& state, gates::Axis axis,
                          const gates::Mat2& u, std::size_t target) {
-  if (axis == gates::Axis::kZ) {
-    // Diagonal phase kernel: RZ's off-diagonal entries are exact zeros, so
-    // the skipped products (0 * amplitude) only ever add a signed zero.
-    auto& amps = state.amplitudes();
-    const Complex u00 = u.m00;
-    const Complex u11 = u.m11;
-    const std::size_t bit = std::size_t{1} << target;
-    const std::size_t dim = amps.size();
-    const std::size_t low_mask = bit - 1;
-    for (std::size_t i = 0; i < dim / 2; ++i) {
-      const std::size_t i0 = ((i & ~low_mask) << 1) | (i & low_mask);
-      const std::size_t i1 = i0 | bit;
-      amps[i0] = u00 * amps[i0];
-      amps[i1] = u11 * amps[i1];
-    }
-    return;
-  }
-  apply_mat2(state, u, target);
+  // RZ's off-diagonal entries are exact zeros, so the diagonal kernel's
+  // skipped products (0 * amplitude) only ever add a signed zero.
+  const core::KernelTable& k = core::active_kernels();
+  (axis == gates::Axis::kZ ? k.diag : k.mat2)(
+      amps_of(state), state.dimension(), as_doubles(&u), target);
 }
 
 void apply_controlled_rotation(StateVector& state, gates::Axis axis,
@@ -139,92 +72,20 @@ void apply_controlled_rotation(StateVector& state, gates::Axis axis,
 
 void apply_mat2_from(StateVector& dst, const StateVector& src,
                      const gates::Mat2& u, std::size_t target) {
-  auto& out = dst.amplitudes();
-  const auto& in = src.amplitudes();
-  const Complex u00 = u.m00;
-  const Complex u01 = u.m01;
-  const Complex u10 = u.m10;
-  const Complex u11 = u.m11;
-  const std::size_t bit = std::size_t{1} << target;
-  const std::size_t dim = in.size();
-  const std::size_t low_mask = bit - 1;
-  for (std::size_t i = 0; i < dim / 2; ++i) {
-    const std::size_t i0 = ((i & ~low_mask) << 1) | (i & low_mask);
-    const std::size_t i1 = i0 | bit;
-    const Complex a0 = in[i0];
-    const Complex a1 = in[i1];
-    out[i0] = u00 * a0 + u01 * a1;
-    out[i1] = u10 * a0 + u11 * a1;
-  }
+  core::active_kernels().mat2_from(amps_of(dst),
+                                   as_doubles(src.amplitudes().data()),
+                                   src.dimension(), as_doubles(&u), target);
 }
 
-namespace {
-// Ascending enumeration of the basis indices with both qubit bits set:
-// expand x (over the quarter-sized subspace) by inserting a bit at the
-// lower position, then at the higher, then set both.
-inline std::size_t both_set_index(std::size_t x, std::size_t low_mask,
-                                  std::size_t high_mask, std::size_t bits) {
-  const std::size_t t = ((x & ~low_mask) << 1) | (x & low_mask);
-  return (((t & ~high_mask) << 1) | (t & high_mask)) | bits;
+void apply_mat4(StateVector& state, const ComplexMatrix& u, std::size_t q_low,
+                std::size_t q_high) {
+  core::active_kernels().mat4(amps_of(state), state.dimension(),
+                              as_doubles(u.data().data()), q_low, q_high);
 }
-}  // namespace
 
 void apply_cz(StateVector& state, std::size_t qubit_a, std::size_t qubit_b) {
-  auto& amps = state.amplitudes();
-  const std::size_t bl = std::size_t{1} << std::min(qubit_a, qubit_b);
-  const std::size_t bh = std::size_t{1} << std::max(qubit_a, qubit_b);
-  const std::size_t lm = bl - 1;
-  const std::size_t hm = bh - 1;
-  const std::size_t dim = amps.size();
-  for (std::size_t x = 0; x < dim / 4; ++x) {
-    const std::size_t i = both_set_index(x, lm, hm, bl | bh);
-    amps[i] = -amps[i];
-  }
-}
-
-void apply_cz_pair(StateVector& s1, StateVector& s2, std::size_t qubit_a,
-                   std::size_t qubit_b) {
-  auto& a1 = s1.amplitudes();
-  auto& a2 = s2.amplitudes();
-  const std::size_t bl = std::size_t{1} << std::min(qubit_a, qubit_b);
-  const std::size_t bh = std::size_t{1} << std::max(qubit_a, qubit_b);
-  const std::size_t lm = bl - 1;
-  const std::size_t hm = bh - 1;
-  const std::size_t dim = a1.size();
-  for (std::size_t x = 0; x < dim / 4; ++x) {
-    const std::size_t i = both_set_index(x, lm, hm, bl | bh);
-    a1[i] = -a1[i];
-    a2[i] = -a2[i];
-  }
-}
-
-Complex inner_product_mat2(const StateVector& lambda, const StateVector& phi,
-                           const gates::Mat2& u, std::size_t target) {
-  const auto& l = lambda.amplitudes();
-  const auto& in = phi.amplitudes();
-  const Complex u00 = u.m00;
-  const Complex u01 = u.m01;
-  const Complex u10 = u.m10;
-  const Complex u11 = u.m11;
-  const std::size_t bit = std::size_t{1} << target;
-  const std::size_t dim = in.size();
-  // inner_product accumulates in ascending index order; within each block
-  // of 2*bit indices that order is the bit-clear half followed by the
-  // bit-set half, so the two inner loops below reproduce it exactly.
-  Complex acc{0.0, 0.0};
-  for (std::size_t base = 0; base < dim; base += 2 * bit) {
-    for (std::size_t j = 0; j < bit; ++j) {
-      const std::size_t i0 = base + j;
-      const std::size_t i1 = i0 | bit;
-      acc += std::conj(l[i0]) * (u00 * in[i0] + u01 * in[i1]);
-    }
-    for (std::size_t j = 0; j < bit; ++j) {
-      const std::size_t i0 = base + j;
-      const std::size_t i1 = i0 | bit;
-      acc += std::conj(l[i1]) * (u10 * in[i0] + u11 * in[i1]);
-    }
-  }
-  return acc;
+  core::active_kernels().cz(amps_of(state), state.dimension(), qubit_a,
+                            qubit_b);
 }
 
 Complex adjoint_rotation_sweep(StateVector& phi, StateVector& lambda,
@@ -235,8 +96,8 @@ Complex adjoint_rotation_sweep(StateVector& phi, StateVector& lambda,
   const std::size_t bit = std::size_t{1} << target;
   const std::size_t dim = p.size();
   Complex acc{0.0, 0.0};
-  // Block structure as in inner_product_mat2: the bit-clear half of each
-  // block precedes the bit-set half in index order, so accumulating the
+  // Blocks of 2*bit indices: the bit-clear half of each block precedes the
+  // bit-set half in index order, so accumulating the
   // row-0 terms in the first loop and the row-1 terms in the second
   // reproduces inner_product's ascending-index order. lambda's own update
   // happens only after both of its amplitudes fed the accumulator.

@@ -73,6 +73,45 @@ TEST(Json, TypeMisuseThrows) {
   EXPECT_THROW(scalar.push_back(JsonValue::null()), InvalidArgument);
 }
 
+TEST(Json, ParseAcceptsNestingUpToTheLimit) {
+  const std::string deepest = std::string(kMaxJsonDepth, '[') + "7" +
+                              std::string(kMaxJsonDepth, ']');
+  JsonValue v = parse_json(deepest);
+  for (std::size_t level = 1; level < kMaxJsonDepth; ++level) {
+    v = v.at(0);
+  }
+  EXPECT_EQ(v.at(0).as_integer(), 7);
+
+  std::string objects;
+  for (std::size_t level = 0; level < kMaxJsonDepth; ++level) {
+    objects += "{\"k\":";
+  }
+  objects += "null" + std::string(kMaxJsonDepth, '}');
+  EXPECT_NO_THROW((void)parse_json(objects));
+}
+
+TEST(Json, ParseRefusesNestingPastTheLimit) {
+  // One level too deep, for arrays, objects and a mix of both.
+  const std::string arrays = std::string(kMaxJsonDepth + 1, '[') +
+                             std::string(kMaxJsonDepth + 1, ']');
+  EXPECT_THROW((void)parse_json(arrays), InvalidArgument);
+  std::string mixed;
+  for (std::size_t level = 0; level <= kMaxJsonDepth; ++level) {
+    mixed += level % 2 == 0 ? "[" : "{\"k\":";
+  }
+  EXPECT_THROW((void)parse_json(mixed), InvalidArgument);
+
+  // Hostile input: 200k unterminated '[' used to overflow the stack.
+  try {
+    (void)parse_json(std::string(200000, '['));
+    FAIL() << "deep nesting was accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Json, NumberArrayHelper) {
   const JsonValue arr = JsonValue::number_array({0.5, 1.5});
   EXPECT_EQ(arr.dump(), "[0.5,1.5]");

@@ -470,6 +470,80 @@ TEST(ServeServer, BackpressureRejectsAndDrainReturnsInterrupted) {
   EXPECT_EQ(server_exit, kExitInterrupted);
 }
 
+TEST(ServeServer, DeeplyNestedRequestLineIsRejectedAndServiceKeepsServing) {
+  const std::string socket_path =
+      testing::TempDir() + "qbarren-serve-nesting.sock";
+  ServerOptions server_options;
+  server_options.socket_path = socket_path;
+  SocketServer server(cli_service_options(), std::move(server_options));
+  int server_exit = -1;
+  std::thread server_thread([&] { server_exit = server.run(); });
+
+  const auto connect_client = [&socket_path]() {
+    sockaddr_un address{};
+    address.sun_family = AF_UNIX;
+    std::memcpy(address.sun_path, socket_path.c_str(),
+                socket_path.size() + 1);
+    for (int tries = 0; tries < 100; ++tries) {
+      const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+      if (fd >= 0 && ::connect(fd, reinterpret_cast<sockaddr*>(&address),
+                               sizeof(address)) == 0) {
+        return fd;
+      }
+      if (fd >= 0) ::close(fd);
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    return -1;
+  };
+  // Sends one request line and returns every event line until the server
+  // closes the connection.
+  const auto exchange = [&connect_client](const std::string& line) {
+    const int fd = connect_client();
+    EXPECT_GE(fd, 0);
+    std::vector<JsonValue> events;
+    if (fd < 0) return events;
+    const std::string framed = line + "\n";
+    std::size_t sent = 0;
+    while (sent < framed.size()) {
+      const ssize_t n =
+          ::write(fd, framed.data() + sent, framed.size() - sent);
+      if (n <= 0) break;
+      sent += static_cast<std::size_t>(n);
+    }
+    std::string current;
+    char ch = 0;
+    while (::read(fd, &ch, 1) == 1) {
+      if (ch != '\n') {
+        current.push_back(ch);
+        continue;
+      }
+      events.push_back(parse_json(current));
+      current.clear();
+    }
+    ::close(fd);
+    return events;
+  };
+
+  // 200k unterminated '[' used to overflow the parser's stack and take the
+  // whole server down.
+  const std::vector<JsonValue> hostile = exchange(std::string(200000, '['));
+  ASSERT_EQ(hostile.size(), 1u);
+  EXPECT_EQ(hostile[0].at("event").as_string(), "rejected");
+  EXPECT_EQ(hostile[0].at("reason").as_string(), "bad request");
+  EXPECT_NE(hostile[0].at("message").as_string().find("nesting deeper than"),
+            std::string::npos);
+
+  // The same server then serves a well-formed request to completion.
+  const std::vector<JsonValue> served =
+      exchange(to_json(small_variance_spec()).dump());
+  ASSERT_FALSE(served.empty());
+  EXPECT_EQ(served.back().at("event").as_string(), "done");
+
+  ::kill(::getpid(), SIGTERM);  // graceful drain
+  server_thread.join();
+  EXPECT_EQ(server_exit, kExitInterrupted);
+}
+
 #endif  // QBARREN_CLI_BIN
 
 }  // namespace
