@@ -5,7 +5,7 @@
 // (one partial derivative per circuit) uses parameter-shift like the
 // paper.
 #include <chrono>
-#include <functional>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "qbarren/analysis/plan_verify.hpp"
@@ -85,107 +85,16 @@ void bm_single_partial_parameter_shift(benchmark::State& state) {
 BENCHMARK(bm_single_partial_parameter_shift)->Arg(4)->Arg(10)
     ->Unit(benchmark::kMicrosecond);
 
-// --- compiled vs interpreted -----------------------------------------------
-//
-// Times the same single-threaded workload through the compiled execution
-// plan (the default) and through the interpreted op walk (plans disabled),
-// and reports the ratio plus the plan's lowering counters in the JSON
-// output. CI's bench-smoke step uploads these counters.
-
-void time_compiled_vs_interpreted(benchmark::State& state, const Setup& setup,
-                                  const Circuit& interpreted, int reps,
-                                  const std::function<void(const Circuit&)>& work) {
-  using Clock = std::chrono::steady_clock;
-  const auto plan = exec::plan_for(setup.circuit);
-  double compiled_seconds = 0.0;
-  double interpreted_seconds = 0.0;
-  // Untimed warmup of both paths: the first few repetitions pay cold
-  // caches and lazy gate-matrix statics, which would otherwise be charged
-  // entirely to whichever segment runs first.
-  for (int r = 0; r < 3; ++r) {
-    work(setup.circuit);
-    exec::ScopedExecutionPlans off(false);
-    work(interpreted);
-  }
-  for (auto _ : state) {
-    const auto t0 = Clock::now();
-    for (int r = 0; r < reps; ++r) {
-      work(setup.circuit);
-    }
-    const auto t1 = Clock::now();
-    {
-      exec::ScopedExecutionPlans off(false);
-      for (int r = 0; r < reps; ++r) {
-        work(interpreted);
-      }
-    }
-    const auto t2 = Clock::now();
-    compiled_seconds += std::chrono::duration<double>(t1 - t0).count();
-    interpreted_seconds += std::chrono::duration<double>(t2 - t1).count();
-  }
-  const double n = static_cast<double>(state.iterations());
-  state.counters["compiled_seconds"] = compiled_seconds / n;
-  state.counters["interpreted_seconds"] = interpreted_seconds / n;
-  state.counters["speedup"] = compiled_seconds > 0.0
-                                  ? interpreted_seconds / compiled_seconds
-                                  : 0.0;
-  if (plan != nullptr) {
-    const auto& stats = plan->stats();
-    state.counters["lowered_ops"] = static_cast<double>(stats.plan_ops);
-    state.counters["fused_ops"] = static_cast<double>(stats.fused_source_ops);
-    state.counters["matrices_cached"] =
-        static_cast<double>(stats.cached_matrices);
-    // QB010's static cost model, so each uploaded JSON pairs the measured
-    // times with the plan's predicted work per application.
-    const PlanResourceEstimate estimate = estimate_plan_resources(*plan);
-    state.counters["plan_flops"] = estimate.flops;
-    state.counters["plan_bytes"] = estimate.bytes;
-  }
-}
-
-void bm_compiled_adjoint_deep_hea(benchmark::State& state) {
-  // Deep HEA, full adjoint gradient — the Fig 5b/5c training unit of work.
-  const Setup setup(6, 40);
-  const Circuit interpreted = setup.circuit;  // copied before lowering
-  const AdjointEngine engine;
-  time_compiled_vs_interpreted(
-      state, setup, interpreted, /*reps=*/20, [&](const Circuit& c) {
-        benchmark::DoNotOptimize(
-            engine.gradient(c, setup.observable, setup.params).data());
-      });
-  state.SetLabel("q=6 L=40 adjoint, compiled vs interpreted");
-}
-BENCHMARK(bm_compiled_adjoint_deep_hea)->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-void bm_compiled_parameter_shift_last_param(benchmark::State& state) {
-  // The Fig 5a unit of work: parameter-shift partial of the LAST
-  // parameter. The compiled path additionally reuses the prefix state
-  // before the shifted gate across both +-pi/2 evaluations.
-  const Setup setup(6, 40);
-  const Circuit interpreted = setup.circuit;
-  const ParameterShiftEngine engine;
-  const std::size_t last = setup.circuit.num_parameters() - 1;
-  time_compiled_vs_interpreted(
-      state, setup, interpreted, /*reps=*/200, [&](const Circuit& c) {
-        benchmark::DoNotOptimize(
-            engine.partial(c, setup.observable, setup.params, last));
-      });
-  state.SetLabel("q=6 L=40 parameter-shift last param, compiled vs "
-                 "interpreted");
-}
-BENCHMARK(bm_compiled_parameter_shift_last_param)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-
 // --- batched vs serial parameter-shift ---------------------------------------
 //
 // The batched dispatcher evaluates all 2P shifted bindings of a full
 // parameter-shift gradient in one monotonic walk of the kernel-op stream
-// (chunked to the batch limit), instead of a fresh prefix simulation per
-// parameter. This bench sweeps the batch width B and reports serial and
-// batched wall-clock, the speedup, states-per-second throughput, and the
-// static cost model's prediction at batch=B. CI's bench-smoke step
-// uploads the counters.
+// (chunked to the lane cap), instead of a fresh prefix simulation per
+// parameter. This bench sweeps the lane cap B and reports the "serial"
+// wall-clock of a per-parameter partial() loop (one prefix simulation and
+// one +/- pair per parameter), the batched gradient's wall-clock, the
+// speedup, states-per-second throughput, and the static cost model's
+// prediction at batch=B. CI's bench-smoke step uploads the counters.
 
 void bm_batched_parameter_shift(benchmark::State& state) {
   const Setup setup(6, 40);  // deep HEA: q=6, L=40, P=480
@@ -195,9 +104,17 @@ void bm_batched_parameter_shift(benchmark::State& state) {
   using Clock = std::chrono::steady_clock;
   double serial_seconds = 0.0;
   double batched_seconds = 0.0;
+  const std::size_t num_params = setup.circuit.num_parameters();
+  const auto serial_gradient = [&] {
+    std::vector<double> grad(num_params);
+    for (std::size_t i = 0; i < num_params; ++i) {
+      grad[i] = engine.partial(setup.circuit, setup.observable, setup.params,
+                               i);
+    }
+    return grad;
+  };
   // Untimed warmup of both paths (cold caches, lazy statics).
-  benchmark::DoNotOptimize(
-      engine.gradient(setup.circuit, setup.observable, setup.params).data());
+  benchmark::DoNotOptimize(serial_gradient().data());
   {
     exec::ScopedBatchLimit limit(lanes);
     benchmark::DoNotOptimize(
@@ -210,9 +127,7 @@ void bm_batched_parameter_shift(benchmark::State& state) {
   for (auto _ : state) {
     for (int rep = 0; rep < kReps; ++rep) {
       const auto t0 = Clock::now();
-      benchmark::DoNotOptimize(
-          engine.gradient(setup.circuit, setup.observable, setup.params)
-              .data());
+      benchmark::DoNotOptimize(serial_gradient().data());
       const auto t1 = Clock::now();
       {
         exec::ScopedBatchLimit limit(lanes);
@@ -226,8 +141,7 @@ void bm_batched_parameter_shift(benchmark::State& state) {
     }
   }
   const double n = static_cast<double>(state.iterations()) * kReps;
-  const double shifted_bindings =
-      2.0 * static_cast<double>(setup.circuit.num_parameters());
+  const double shifted_bindings = 2.0 * static_cast<double>(num_params);
   state.counters["batch"] = static_cast<double>(lanes);
   state.counters["serial_seconds"] = serial_seconds / n;
   state.counters["batched_seconds"] = batched_seconds / n;
@@ -236,13 +150,10 @@ void bm_batched_parameter_shift(benchmark::State& state) {
   // Shifted-binding simulations completed per second of batched execution.
   state.counters["states_per_second"] =
       batched_seconds > 0.0 ? shifted_bindings * n / batched_seconds : 0.0;
-  if (plan != nullptr) {
-    const PlanResourceEstimate estimate =
-        estimate_plan_resources(*plan, lanes);
-    state.counters["plan_flops"] = estimate.flops;
-    state.counters["plan_bytes"] = estimate.bytes;
-    state.counters["plan_shared_bytes"] = estimate.shared_bytes;
-  }
+  const PlanResourceEstimate estimate = estimate_plan_resources(*plan, lanes);
+  state.counters["plan_flops"] = estimate.flops;
+  state.counters["plan_bytes"] = estimate.bytes;
+  state.counters["plan_shared_bytes"] = estimate.shared_bytes;
   state.SetLabel("q=6 L=40 parameter-shift full gradient, batched vs serial");
 }
 BENCHMARK(bm_batched_parameter_shift)

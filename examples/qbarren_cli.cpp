@@ -82,9 +82,18 @@
 //   --cell-retries R       extra attempts for non-finite cells, retried
 //                          with the parameter-shift fallback engine
 //   --engine NAME          gradient engine for variance/train/sweep
-//                          (adjoint, parameter-shift, finite-diff, spsa;
+//                          (adjoint, parameter-shift, finite-difference, spsa;
 //                          decorators like nan-at:<k>:<engine> inject
 //                          faults for testing the failure paths)
+//
+// --batch B|auto (variance / train / sweep / landscape) caps the lanes of
+// each batched kernel dispatch. Shift-rule gradients always evaluate
+// their shifted bindings as lanes of one dispatch and landscape rows
+// always batch; the default, auto, takes the width from the workload
+// (at most 32 lanes, fewer on registers too wide for 32 MiB of lanes).
+// --batch 1 walks one binding at a time. Results are byte-identical at
+// every cap. An explicit --batch >= 2 is rejected with --engine adjoint,
+// which has no shifted bindings to batch.
 // Run with no arguments for this help text.
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -245,13 +254,14 @@ std::string strip_engine_decorators(std::string name) {
   return name;
 }
 
-/// Opt-in --batch=<B>|auto: scopes the process batch limit for the run.
-/// Batched execution is byte-identical to serial, so this only changes
-/// throughput. `engine_name` (empty when the subcommand has no gradient
-/// engine) gates the nonsensical combination: the adjoint engine computes
-/// the whole gradient in one forward/backward pass and has nothing to
-/// batch, so an explicit lane count with it is rejected; --batch=auto
-/// simply degrades to serial there.
+/// --batch=<B>|auto: scopes the process lane cap for the run (without the
+/// flag the cap stays at its default, auto). Every lane count is
+/// byte-identical, so this only changes throughput and memory.
+/// `engine_name` (empty when the subcommand has no gradient engine) gates
+/// the nonsensical combination: the adjoint engine computes the whole
+/// gradient in one forward/backward pass and has nothing to batch, so an
+/// explicit lane count >= 2 with it is rejected; --batch=auto changes
+/// nothing there.
 std::unique_ptr<exec::ScopedBatchLimit> scoped_batch_limit(
     const CliArgs& args, const std::string& engine_name) {
   if (!args.has("batch")) return nullptr;
@@ -279,9 +289,8 @@ std::unique_ptr<exec::ScopedBatchLimit> scoped_batch_limit(
         "--batch " + text +
         " makes no sense with --engine adjoint: the adjoint engine "
         "computes the whole gradient in one forward/backward pass and has "
-        "no shifted bindings to batch; drop --batch, use --batch=auto "
-        "(runs serial), or pick a shift-rule engine (parameter-shift, "
-        "finite-diff, spsa)");
+        "no shifted bindings to batch; drop --batch, or pick a shift-rule "
+        "engine (parameter-shift, finite-difference)");
   }
   return std::make_unique<exec::ScopedBatchLimit>(limit);
 }
@@ -930,13 +939,14 @@ void print_help() {
       "variance/train/sweep run cells in parallel: --jobs <n> (0 = all\n"
       "cores), --cell-timeout-sec <s>, --max-cell-failures <k>,\n"
       "--cell-retries <r>; results are identical at any --jobs value.\n"
-      "variance/train/sweep/landscape accept --batch <B>|auto: evaluate\n"
-      "up to B\n"
-      "parameter bindings per kernel dispatch (auto picks the width);\n"
-      "batched runs are byte-identical to serial ones, and --batch\n"
-      "composes with --jobs (lanes batch within a cell, cells fan out\n"
-      "across threads). An explicit --batch >= 2 is rejected with\n"
-      "--engine adjoint, which has no shifted bindings to batch.\n"
+      "variance/train/sweep/landscape accept --batch <B>|auto: a cap on\n"
+      "the parameter bindings evaluated per kernel dispatch (default\n"
+      "auto: the workload picks the width, memory-bounded on wide\n"
+      "registers; 1 = one binding at a time). Results are byte-identical\n"
+      "at every cap, and --batch composes with --jobs (lanes batch within\n"
+      "a cell, cells fan out across threads). An explicit --batch >= 2 is\n"
+      "rejected with --engine adjoint, which has no shifted bindings to\n"
+      "batch.\n"
       "see the header of examples/qbarren_cli.cpp for per-command "
       "options.\n",
       kVersionString);

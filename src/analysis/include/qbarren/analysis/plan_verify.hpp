@@ -13,9 +13,9 @@
 //   QP100  error    shape mismatch: plan's qubit / parameter / source-op
 //                   counts disagree with the source circuit
 //   QP101  error    matrix-pool entry is not unitary within tolerance
-//                   (warning when only custom gates reference it — the
-//                   interpreted path applies those verbatim too, QB006
-//                   already reports the modeling problem)
+//                   (warning when only custom gates reference it — they
+//                   are applied verbatim, and QB006 already reports the
+//                   modeling problem)
 //   QP102  error    forward/inverse pool pairing broken: pool sizes
 //                   disagree, or an inverse entry is not the inverse
 //                   (adjoint, for custom gates) of its forward entry
@@ -31,11 +31,11 @@
 //                   does not match the source op it claims to lower
 //   QP106  error    a plan exists over a custom gate whose matrix has the
 //                   wrong dimensions — compilation must refuse such
-//                   circuits so execution reaches the interpreted
-//                   fallback's error path
+//                   circuits so execution reports the malformed gate
+//                   instead of running it
 //                   (info: the circuit cannot be lowered and execution
-//                   will use the interpreted fallback — emitted by
-//                   verify_circuit_lowering, never by verify_plan)
+//                   refuses it — emitted by verify_circuit_lowering,
+//                   never by verify_plan)
 //   QP107  error    batched-dispatch table broken: the rotation-slot table
 //                   does not assign dense, in-stream-order angle-table rows
 //                   to exactly the parameterized plan ops (every batched
@@ -84,8 +84,9 @@ struct PlanVerifyOptions {
 
 /// Compiles `circuit` (without attaching the plan) and verifies the
 /// result. When the circuit cannot be lowered, returns a single
-/// info-severity QP106 finding naming the interpreted fallback instead —
-/// that is the designed behavior, not a defect.
+/// info-severity QP106 finding instead: execution refuses the circuit
+/// (exec::plan_for throws), which is the designed behavior, not a plan
+/// defect — QB006 reports the gate itself.
 [[nodiscard]] Diagnostics verify_circuit_lowering(
     const Circuit& circuit, const PlanVerifyOptions& options = {});
 

@@ -237,8 +237,8 @@ void check_pool_unitarity(const Circuit& circuit, const CompiledCircuit& plan,
     msg << name << "[" << i << "] is not unitary (max |u^H u - I| exceeds "
         << options.unitarity_tolerance << ")";
     if (!builtin_ref) {
-      msg << "; only custom gates (applied verbatim by both execution "
-          << "paths) reference it — see QB006 for the modeling problem";
+      msg << "; only custom gates (applied verbatim) reference it — see "
+          << "QB006 for the modeling problem";
     }
     sink.add(msg.str(), pool_location(name, i),
              builtin_ref ? Severity::kError : Severity::kWarning);
@@ -713,8 +713,8 @@ void check_custom_fallback(const Circuit& circuit, const CompiledCircuit& plan,
     msg << "a compiled plan exists although custom gate '" << gate.name
         << "' is " << gate.matrix.rows() << "x" << gate.matrix.cols()
         << " (needs " << dim << "x" << dim
-        << "): compile() must refuse such circuits so execution reaches "
-        << "the interpreted fallback's error path";
+        << "): compile() must refuse such circuits so execution reports "
+        << "the malformed gate instead of running it";
     sink.add(msg.str(), "op " + std::to_string(i));
   }
 }
@@ -795,7 +795,7 @@ Diagnostics verify_circuit_lowering(const Circuit& circuit,
   } catch (const InvalidArgument& error) {
     std::string message = "circuit cannot be lowered (";
     message += error.what();
-    message += "); execution uses the interpreted fallback path";
+    message += "); execution refuses it";
     return {{Severity::kInfo, "QP106", std::move(message), ""}};
   }
   return verify_plan(circuit, *plan, options);

@@ -119,9 +119,9 @@ std::vector<double> compute_variance_cell(
     // The structure stream depends on (q, circuit) only, so every
     // initializer's cell rebuilds and recompiles this same circuit; within
     // a cell, samples share no plan. Batching happens inside the engine's
-    // partial (the sample's shifted bindings as one batched dispatch, when
-    // the process batch limit allows it), and batched and serial dispatch
-    // run the same kernel core, so the sample's bits do not depend on it.
+    // partial (the sample's shifted bindings as lanes of one batched
+    // dispatch, up to the process lane cap), and every lane count runs the
+    // same kernel core, so the sample's bits do not depend on the cap.
     const double g = engine.partial(circuit, *observable, params, which);
     if (!std::isfinite(g)) {
       throw NumericalError(

@@ -20,8 +20,9 @@
 //   * a parameter -> op binding table replaces the linear
 //     operation_for_parameter scan.
 //
-// Results are bit-identical to the interpreted path: same op order, same
-// per-op arithmetic. Cached experiment results and checkpoints written
+// Results are bit-identical to the interpreted op walk (Circuit::apply on
+// a circuit with no attached plan, kept as the tests' oracle): same op
+// order, same per-op arithmetic. Cached experiment results and checkpoints written
 // before this layer existed therefore stay valid.
 #pragma once
 
@@ -81,10 +82,9 @@ class CompiledCircuit final : public ExecutionPlan {
     std::size_t cached_matrices = 0;   ///< distinct constant matrices cached
   };
 
-  /// Lowers `circuit`. Throws InvalidArgument when a custom gate matrix
-  /// has the wrong dimensions for its kind (the interpreted path throws
-  /// the equivalent error at execution time; `plan_for` turns this into a
-  /// fall-back to interpreted execution so behavior is unchanged).
+  /// Lowers `circuit`. Throws InvalidArgument, naming the gate and lint
+  /// rule QB006, when a custom gate matrix has the wrong dimensions for
+  /// its kind.
   [[nodiscard]] static std::shared_ptr<const CompiledCircuit> compile(
       const Circuit& circuit, const CompileOptions& options = {});
 
@@ -201,7 +201,8 @@ class CompiledCircuit final : public ExecutionPlan {
   /// One parameter's lowering: the source op and plan op consuming it.
   /// Both are ExecutionPlan::kNoOperation when nothing consumes the
   /// parameter; plan_op alone is kNoOperation when the parameter is
-  /// consumed more than once (prefix reuse disabled for it).
+  /// consumed more than once (shifted evaluations of it then re-run the
+  /// whole program).
   struct ParamBinding {
     std::size_t source_op = kNoOperation;
     std::size_t plan_op = kNoOperation;
@@ -215,9 +216,10 @@ class CompiledCircuit final : public ExecutionPlan {
   /// (with +=, so callers pass a zeroed span). Each parameterized op's
   /// forward and inverse rotation entries are computed once per call and
   /// shared by the forward pass, the derivative, and both inverse
-  /// applications — the interpreted sweep evaluates that trig four times
-  /// per op. The arithmetic applied to the states is otherwise identical,
-  /// so value and gradient match the interpreted engine exactly.
+  /// applications — an op-by-op interpreted sweep evaluates that trig four
+  /// times per op. The arithmetic applied to the states is otherwise
+  /// identical, so value and gradient match that sweep (the tests' oracle)
+  /// exactly.
   double adjoint_value_and_gradient(const Observable& observable,
                                     std::span<const double> params,
                                     std::span<double> gradient) const;
@@ -300,24 +302,6 @@ class CompiledCircuit final : public ExecutionPlan {
 
 // --- plan attachment -------------------------------------------------------
 
-/// Process-wide switch (default on). When off, plan_for() returns nullptr
-/// and every consumer falls back to interpreted execution — tests use this
-/// to obtain reference results, benchmarks to time both paths.
-void set_execution_plans_enabled(bool enabled) noexcept;
-[[nodiscard]] bool execution_plans_enabled() noexcept;
-
-/// RAII guard: sets the process-wide switch, restores the prior value.
-class ScopedExecutionPlans {
- public:
-  explicit ScopedExecutionPlans(bool enabled);
-  ~ScopedExecutionPlans();
-  ScopedExecutionPlans(const ScopedExecutionPlans&) = delete;
-  ScopedExecutionPlans& operator=(const ScopedExecutionPlans&) = delete;
-
- private:
-  bool previous_;
-};
-
 /// Debug/verification hook fired by plan_for() right after a freshly
 /// compiled plan is attached (cache hits — circuits that already carry a
 /// plan — do not re-fire). Installed by the analysis layer's
@@ -331,38 +315,10 @@ using PlanAttachHook =
 PlanAttachHook set_plan_attach_hook(PlanAttachHook hook);
 
 /// The plan attached to `circuit`, compiling and attaching one on first
-/// use. Returns nullptr when plans are disabled or the circuit cannot be
-/// lowered (malformed custom gate — execution then takes the interpreted
-/// path and throws its usual InvalidArgument).
+/// use. Never returns nullptr: a circuit that cannot be lowered (a
+/// malformed custom gate) makes compile() throw InvalidArgument naming the
+/// gate and lint rule QB006, and nothing is attached.
 [[nodiscard]] std::shared_ptr<const CompiledCircuit> plan_for(
     const Circuit& circuit, const CompileOptions& options = {});
-
-// --- prefix-state reuse for single-parameter partials ----------------------
-
-/// Evaluates the cost at parameter vectors that differ from a base vector
-/// only in one entry. The state before the (unique) op consuming that
-/// parameter is simulated once at construction; each evaluation re-runs
-/// only that op and the suffix. For the Fig 5a hot path — the partial with
-/// respect to the LAST parameter — the suffix is (nearly) empty, so each
-/// of the two shift evaluations costs one gate instead of a full forward
-/// pass.
-class PartialEvaluator {
- public:
-  PartialEvaluator(std::shared_ptr<const CompiledCircuit> plan,
-                   const Observable& observable,
-                   std::span<const double> params, std::size_t index);
-
-  /// Cost at params with params[index] replaced by params[index] + delta.
-  [[nodiscard]] double operator()(double delta);
-
- private:
-  std::shared_ptr<const CompiledCircuit> plan_;
-  const Observable& observable_;
-  std::vector<double> params_;
-  std::size_t index_;
-  std::size_t plan_op_ = ExecutionPlan::kNoOperation;
-  StateVector prefix_;
-  StateVector work_;
-};
 
 }  // namespace qbarren::exec

@@ -10,7 +10,7 @@
 namespace qbarren::exec {
 
 namespace {
-std::atomic<std::size_t> g_batch_limit{kBatchOff};
+std::atomic<std::size_t> g_batch_limit{kBatchAuto};
 }  // namespace
 
 void set_batch_limit(std::size_t limit) noexcept {
@@ -21,11 +21,18 @@ std::size_t batch_limit() noexcept {
   return g_batch_limit.load(std::memory_order_relaxed);
 }
 
-bool batching_enabled() noexcept { return batch_limit() != kBatchOff; }
-
-std::size_t resolve_batch_lanes(std::size_t limit,
-                                std::size_t natural) noexcept {
-  const std::size_t cap = limit == kBatchAuto ? kAutoBatchLanes : limit;
+std::size_t resolve_batch_lanes(std::size_t limit, std::size_t natural,
+                                std::size_t num_qubits,
+                                std::size_t resident_states) noexcept {
+  std::size_t cap = limit;
+  if (limit == kBatchAuto) {
+    constexpr std::size_t kAmplitudeBytes = sizeof(Complex);
+    const std::size_t state_bytes =
+        num_qubits < 40 ? kAmplitudeBytes << num_qubits : kAutoBatchBytes;
+    const std::size_t states = kAutoBatchBytes / state_bytes;
+    cap = std::min(kAutoBatchLanes,
+                   states > resident_states ? states - resident_states : 0);
+  }
   return std::max<std::size_t>(1, std::min(cap, natural));
 }
 
@@ -60,6 +67,31 @@ void apply_uniform(const CompiledCircuit& plan, std::size_t k,
   }
 }
 
+// Greedy chunking of the lanes of consecutive parameter groups of the
+// given widths: a chunk takes whole groups while its lane count fits
+// `lane_cap`; a group wider than the cap is cut into pieces of at most
+// `lane_cap` lanes (each lane is independent, so a piece holds no more
+// than the cap allows). Returns each chunk's end lane index, in order.
+std::vector<std::size_t> chunk_lanes(std::span<const std::size_t> widths,
+                                     std::size_t lane_cap) {
+  std::vector<std::size_t> ends;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  for (const std::size_t width : widths) {
+    if (end > begin && end - begin + width > lane_cap) {
+      ends.push_back(end);
+      begin = end;
+    }
+    end += width;
+    while (end - begin > lane_cap) {
+      begin += lane_cap;
+      ends.push_back(begin);
+    }
+  }
+  if (end > begin) ends.push_back(end);
+  return ends;
+}
+
 }  // namespace
 
 std::vector<double> shifted_expectations(const CompiledCircuit& plan,
@@ -73,8 +105,7 @@ std::vector<double> shifted_expectations(const CompiledCircuit& plan,
 
   // Group spec indices by parameter (one group per distinct parameter,
   // specs in input order within it); parameters without a unique consuming
-  // plan op fall back to the serial whole-program path at the end, as
-  // PartialEvaluator does.
+  // plan op are evaluated on the whole program at the end.
   struct Group {
     std::size_t branch = 0;  ///< plan op consuming the parameter
     std::vector<std::size_t> specs;
@@ -105,47 +136,64 @@ std::vector<double> shifted_expectations(const CompiledCircuit& plan,
   std::sort(groups.begin(), groups.end(),
             [](const Group& a, const Group& b) { return a.branch < b.branch; });
 
-  std::size_t total_lanes = 0;
-  for (const Group& g : groups) total_lanes += g.specs.size();
-  const std::size_t lane_cap = resolve_batch_lanes(batch_limit(), total_lanes);
-
+  // Lanes in stream order: lane i evaluates spec lane_spec[i], branching
+  // off the base at plan op lane_branch[i].
+  std::vector<std::size_t> widths(groups.size());
+  std::vector<std::size_t> lane_branch;
+  std::vector<std::size_t> lane_spec;
+  lane_branch.reserve(specs.size());
+  lane_spec.reserve(specs.size());
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    widths[g] = groups[g].specs.size();
+    for (const std::size_t s : groups[g].specs) {
+      lane_branch.push_back(groups[g].branch);
+      lane_spec.push_back(s);
+    }
+  }
   const std::size_t num_qubits = plan.num_qubits();
+  // Besides its lanes the walk holds two states: the base and a scratch.
+  constexpr std::size_t kResidentStates = 2;
+  const std::size_t lane_cap = resolve_batch_lanes(
+      batch_limit(), lane_spec.size(), num_qubits, kResidentStates);
+
   const std::size_t num_ops = plan.num_plan_ops();
   const std::span<const CompiledCircuit::PlanOp> ops = plan.plan_ops();
   using Kernel = CompiledCircuit::Kernel;
 
   // One base state advanced monotonically with the unshifted parameters:
-  // at each chunk's branch ops it holds exactly the prefix PartialEvaluator
-  // would simulate from scratch (same apply_plan_op sequence from |0...0>).
+  // at each chunk's branch ops it holds exactly the prefix a from-scratch
+  // simulation would reach (same apply_plan_op sequence from |0...0>).
   StateVector base(num_qubits);
   StateVector scratch(num_qubits);
   std::size_t base_pos = 0;
 
-  std::size_t gi = 0;
-  while (gi < groups.size()) {
-    // Greedy chunk: take whole parameter groups while the lane count fits
-    // the cap (never splitting a group, so a 4-term parameter always
-    // evaluates in one chunk).
-    std::size_t gj = gi;
-    std::size_t lanes = 0;
-    while (gj < groups.size()) {
-      const std::size_t width = groups[gj].specs.size();
-      if (gj > gi && lanes + width > lane_cap) break;
-      lanes += width;
-      ++gj;
-    }
-    const std::size_t first_branch = groups[gi].branch;
-    const std::size_t last_branch = groups[gj - 1].branch;
+  std::size_t lb = 0;
+  for (const std::size_t le : chunk_lanes(widths, lane_cap)) {
+    const std::size_t first_branch = lane_branch[lb];
+    const std::size_t last_branch = lane_branch[le - 1];
     plan.apply_plan_ops(base, params, base_pos, first_branch);
+    base_pos = first_branch;
 
-    BatchedStateVector lane_states(num_qubits, lanes);
-    std::vector<std::size_t> lane_spec(lanes);
+    if (le - lb == 1) {
+      // A lone lane runs on the scratch state itself: two states in all,
+      // no batch allocation (the same kernels a 1-lane batch would run).
+      const ShiftSpec& spec = specs[lane_spec[lb]];
+      scratch = base;
+      plan.apply_plan_op_with_angle(first_branch, scratch,
+                                    params[spec.param] + spec.delta);
+      plan.apply_plan_ops(scratch, params, first_branch + 1, num_ops);
+      out[lane_spec[lb]] = observable.expectation(scratch);
+      lb = le;
+      continue;
+    }
+
+    BatchedStateVector lane_states(num_qubits, le - lb);
     std::size_t spawned = 0;
-    std::size_t g = gi;
+    std::size_t next = lb;  ///< next lane to spawn
 
     std::size_t k = first_branch;
     while (k < num_ops) {
-      const std::size_t next_spawn = g < gj ? groups[g].branch : num_ops;
+      const std::size_t next_spawn = next < le ? lane_branch[next] : num_ops;
       if (spawned > 0 && k != next_spawn && k + 1 != next_spawn &&
           k + 1 < num_ops && ops[k].kernel == Kernel::kRotation &&
           ops[k + 1].kernel == Kernel::kRotation &&
@@ -169,18 +217,14 @@ std::vector<double> shifted_expectations(const CompiledCircuit& plan,
         apply_uniform(plan, k, lane_states, spawned, params);
       }
       // ...then this op's own lanes branch off the base (which still holds
-      // ops [0, k)) with the shifted angle, exactly `work_ = prefix_` plus
-      // apply_plan_op_with_angle.
-      if (k == next_spawn) {
-        for (const std::size_t s : groups[g].specs) {
-          scratch = base;
-          plan.apply_plan_op_with_angle(
-              k, scratch, params[specs[s].param] + specs[s].delta);
-          lane_states.set_lane(spawned, scratch);
-          lane_spec[spawned] = s;
-          ++spawned;
-        }
-        ++g;
+      // ops [0, k)) with the shifted angle.
+      for (; next < le && lane_branch[next] == k; ++next) {
+        const ShiftSpec& spec = specs[lane_spec[next]];
+        scratch = base;
+        plan.apply_plan_op_with_angle(k, scratch,
+                                      params[spec.param] + spec.delta);
+        lane_states.set_lane(spawned, scratch);
+        ++spawned;
       }
       // The base only needs to advance while spawns remain in this chunk;
       // the next chunk continues it from base_pos.
@@ -193,23 +237,21 @@ std::vector<double> shifted_expectations(const CompiledCircuit& plan,
 
     for (std::size_t b = 0; b < spawned; ++b) {
       lane_states.extract_lane(b, scratch);
-      out[lane_spec[b]] = observable.expectation(scratch);
+      out[lane_spec[lb + b]] = observable.expectation(scratch);
     }
-    gi = gj;
+    lb = le;
   }
 
   if (!fallback.empty()) {
-    // Shared-parameter fallback, as PartialEvaluator's: whole program on a
-    // temporarily shifted vector.
+    // Shared parameters: whole program on a temporarily shifted vector.
     std::vector<double> shifted(params.begin(), params.end());
-    StateVector work(num_qubits);
     for (const std::size_t s : fallback) {
       const double saved = shifted[specs[s].param];
       shifted[specs[s].param] = saved + specs[s].delta;
-      work.reset();
-      plan.apply_plan_ops(work, shifted, 0, num_ops);
+      scratch.reset();
+      plan.apply_plan_ops(scratch, shifted, 0, num_ops);
       shifted[specs[s].param] = saved;
-      out[s] = observable.expectation(work);
+      out[s] = observable.expectation(scratch);
     }
   }
   return out;

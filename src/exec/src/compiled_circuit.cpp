@@ -1,10 +1,10 @@
 #include "qbarren/exec/compiled_circuit.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <map>
 #include <mutex>
+#include <string>
 #include <tuple>
 #include <utility>
 
@@ -17,8 +17,6 @@ namespace qbarren::exec {
 namespace {
 
 constexpr std::uint32_t kNoIndex32 = static_cast<std::uint32_t>(-1);
-
-std::atomic<bool> g_plans_enabled{true};
 
 // Plan-attach hook: shared_ptr so plan_for can invoke a stable copy
 // outside the lock while another thread swaps the hook.
@@ -43,6 +41,20 @@ PoolKey key_for(const Operation& op) {
 }
 
 std::uint32_t u32(std::size_t v) { return static_cast<std::uint32_t>(v); }
+
+// Refuses a custom gate whose matrix is not dim x dim, naming the gate and
+// the lint rule that reports the same defect statically.
+void require_custom_dims(const Circuit& circuit, const Operation& op,
+                         std::size_t index, std::size_t dim) {
+  const CustomGate& gate = circuit.custom_gate(op);
+  if (gate.matrix.rows() == dim && gate.matrix.cols() == dim) return;
+  throw InvalidArgument(
+      "CompiledCircuit: custom gate '" + gate.name + "' (op " +
+      std::to_string(index) + ") is " + std::to_string(gate.matrix.rows()) +
+      "x" + std::to_string(gate.matrix.cols()) + ", expected " +
+      std::to_string(dim) + "x" + std::to_string(dim) +
+      " (QB006: malformed custom gate)");
+}
 
 }  // namespace
 
@@ -122,7 +134,8 @@ std::shared_ptr<const CompiledCircuit> CompiledCircuit::compile(
 
   // First consumer wins, matching the linear scan's first-match
   // semantics; a parameter consumed twice (not producible by the
-  // builders, but cheap to defend against) disables prefix reuse for it.
+  // builders, but cheap to defend against) has no unique consuming op: its
+  // shifted evaluations re-run the whole program.
   auto record_param = [&](std::size_t p, std::size_t source) {
     if (param_seen[p] == 0) {
       param_seen[p] = 1;
@@ -214,10 +227,8 @@ std::shared_ptr<const CompiledCircuit> CompiledCircuit::compile(
         break;
       }
       case OpKind::kCustomSingle: {
+        require_custom_dims(circuit, op, i, 2);
         const ComplexMatrix& m = circuit.custom_gate(op).matrix;
-        QBARREN_REQUIRE(m.rows() == 2 && m.cols() == 2,
-                        "CompiledCircuit: custom single-qubit matrix must "
-                        "be 2x2");
         push_constant1q(
             op, i, intern2(op, gates::entries_of(m),
                            gates::entries_of(adjoint(m))));
@@ -263,10 +274,8 @@ std::shared_ptr<const CompiledCircuit> CompiledCircuit::compile(
       }
       case OpKind::kCustomTwo: {
         flush_run();
+        require_custom_dims(circuit, op, i, 4);
         const ComplexMatrix& m = circuit.custom_gate(op).matrix;
-        QBARREN_REQUIRE(m.rows() == 4 && m.cols() == 4,
-                        "CompiledCircuit: custom two-qubit matrix must be "
-                        "4x4");
         PlanOp p;
         p.kernel = Kernel::kFixedTwo;
         p.qubit0 = u32(op.qubit0);  // builder guarantees qubit0 < qubit1
@@ -374,6 +383,10 @@ BatchedStateVector CompiledCircuit::simulate_batch(
 std::vector<double> CompiledCircuit::expectation_batch(
     const Observable& observable, std::span<const double> bindings,
     std::size_t batch_size) const {
+  if (batch_size == 1 && bindings.size() == num_params_) {
+    // One binding: the serial walk gives the same bytes on one state.
+    return {observable.expectation(simulate(bindings))};
+  }
   const BatchedStateVector batch = simulate_batch(bindings, batch_size);
   std::vector<double> values(batch_size);
   StateVector scratch(num_qubits_);
@@ -726,23 +739,6 @@ const ComplexMatrix& CompiledCircuit::source_constant_matrix(
 
 // --- plan attachment -------------------------------------------------------
 
-void set_execution_plans_enabled(bool enabled) noexcept {
-  g_plans_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool execution_plans_enabled() noexcept {
-  return g_plans_enabled.load(std::memory_order_relaxed);
-}
-
-ScopedExecutionPlans::ScopedExecutionPlans(bool enabled)
-    : previous_(execution_plans_enabled()) {
-  set_execution_plans_enabled(enabled);
-}
-
-ScopedExecutionPlans::~ScopedExecutionPlans() {
-  set_execution_plans_enabled(previous_);
-}
-
 PlanAttachHook set_plan_attach_hook(PlanAttachHook hook) {
   std::shared_ptr<const PlanAttachHook> next =
       hook ? std::make_shared<const PlanAttachHook>(std::move(hook))
@@ -755,76 +751,19 @@ PlanAttachHook set_plan_attach_hook(PlanAttachHook hook) {
 
 std::shared_ptr<const CompiledCircuit> plan_for(const Circuit& circuit,
                                                 const CompileOptions& options) {
-  if (!execution_plans_enabled()) return nullptr;
   if (auto attached = std::dynamic_pointer_cast<const CompiledCircuit>(
           circuit.execution_plan())) {
     return attached;
   }
-  std::shared_ptr<const CompiledCircuit> plan;
-  try {
-    plan = CompiledCircuit::compile(circuit, options);
-  } catch (const InvalidArgument&) {
-    // Unlowerable circuit (malformed custom gate): execution falls back to
-    // the interpreted path, which throws its usual error when (and only
-    // when) the op is actually applied.
-    return nullptr;
-  }
+  std::shared_ptr<const CompiledCircuit> plan =
+      CompiledCircuit::compile(circuit, options);
   circuit.attach_execution_plan(plan);
   // First attach only: re-requests hit the cache above and do not
-  // re-verify. Hook exceptions propagate past the fallback catch — a
-  // verification failure must not silently degrade to interpretation.
+  // re-verify.
   if (const auto hook = current_attach_hook()) {
     (*hook)(circuit, *plan);
   }
   return plan;
-}
-
-// --- prefix-state reuse ----------------------------------------------------
-
-namespace {
-const std::shared_ptr<const CompiledCircuit>& require_plan(
-    const std::shared_ptr<const CompiledCircuit>& plan) {
-  QBARREN_REQUIRE(plan != nullptr, "PartialEvaluator: plan must not be null");
-  return plan;
-}
-}  // namespace
-
-PartialEvaluator::PartialEvaluator(
-    std::shared_ptr<const CompiledCircuit> plan, const Observable& observable,
-    std::span<const double> params, std::size_t index)
-    : plan_(require_plan(plan)),
-      observable_(observable),
-      params_(params.begin(), params.end()),
-      index_(index),
-      prefix_(plan_->num_qubits()),
-      work_(plan_->num_qubits()) {
-  QBARREN_REQUIRE(index_ < params_.size(),
-                  "PartialEvaluator: parameter index out of range");
-  plan_op_ = plan_->plan_op_for_parameter(index_);
-  if (plan_op_ != ExecutionPlan::kNoOperation) {
-    // The ops before the consuming one do not read params[index], so this
-    // state is valid for every shifted evaluation.
-    plan_->apply_plan_ops(prefix_, params_, 0, plan_op_);
-  }
-}
-
-double PartialEvaluator::operator()(double delta) {
-  if (plan_op_ != ExecutionPlan::kNoOperation) {
-    work_ = prefix_;
-    plan_->apply_plan_op_with_angle(plan_op_, work_,
-                                    params_[index_] + delta);
-    plan_->apply_plan_ops(work_, params_, plan_op_ + 1,
-                          plan_->num_plan_ops());
-  } else {
-    // No unique consuming op recorded (shared parameter, defensive):
-    // evaluate the whole program on a temporarily shifted vector.
-    const double saved = params_[index_];
-    params_[index_] = saved + delta;
-    work_.reset();
-    plan_->apply_plan_ops(work_, params_, 0, plan_->num_plan_ops());
-    params_[index_] = saved;
-  }
-  return observable_.expectation(work_);
 }
 
 }  // namespace qbarren::exec

@@ -31,10 +31,8 @@ ValueAndGradient GradientEngine::value_and_gradient(
     const Circuit& circuit, const Observable& observable,
     std::span<const double> params) const {
   check_args(circuit, observable, params);
-  // Attach the plan once; simulate and gradient below reuse it.
-  static_cast<void>(exec::plan_for(circuit));
   ValueAndGradient out;
-  out.value = observable.expectation(circuit.simulate(params));
+  out.value = observable.expectation(exec::plan_for(circuit)->simulate(params));
   out.gradient = gradient(circuit, observable, params);
   return out;
 }

@@ -15,53 +15,33 @@ double FiniteDifferenceEngine::partial(const Circuit& circuit,
   check_args(circuit, observable, params);
   QBARREN_REQUIRE(index < params.size(),
                   "FiniteDifferenceEngine::partial: index out of range");
-  if (const auto plan = exec::plan_for(circuit)) {
-    if (exec::batching_enabled()) {
-      // The +/- pair as a batch of 2 lanes sharing prefix and suffix.
-      const exec::ShiftSpec specs[] = {{index, h_}, {index, -h_}};
-      const std::vector<double> v =
-          exec::shifted_expectations(*plan, observable, params, specs);
-      return (v[0] - v[1]) / (2.0 * h_);
-    }
-    // Both evaluations reuse the prefix state before the shifted gate.
-    exec::PartialEvaluator cost(plan, observable, params, index);
-    const double plus = cost(h_);
-    const double minus = cost(-h_);
-    return (plus - minus) / (2.0 * h_);
-  }
-  std::vector<double> work(params.begin(), params.end());
-  work[index] = params[index] + h_;
-  const double plus = observable.expectation(circuit.simulate(work));
-  work[index] = params[index] - h_;
-  const double minus = observable.expectation(circuit.simulate(work));
-  return (plus - minus) / (2.0 * h_);
+  // The +/- pair as a batch of 2 lanes sharing prefix and suffix.
+  const auto plan = exec::plan_for(circuit);
+  const exec::ShiftSpec specs[] = {{index, h_}, {index, -h_}};
+  const std::vector<double> v =
+      exec::shifted_expectations(*plan, observable, params, specs);
+  return (v[0] - v[1]) / (2.0 * h_);
 }
 
 std::vector<double> FiniteDifferenceEngine::gradient(
     const Circuit& circuit, const Observable& observable,
     std::span<const double> params) const {
   check_args(circuit, observable, params);
-  std::vector<double> grad(params.size());
+  // All 2P shifted bindings through the chunked batched dispatch: one
+  // monotonic walk of the op stream instead of a fresh prefix per
+  // parameter.
   const auto plan = exec::plan_for(circuit);
-  if (plan != nullptr && exec::batching_enabled() && !params.empty()) {
-    // All 2P shifted bindings through the chunked batched dispatch: one
-    // monotonic walk of the op stream instead of a fresh prefix per
-    // parameter.
-    std::vector<exec::ShiftSpec> specs;
-    specs.reserve(2 * params.size());
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      specs.push_back({i, h_});
-      specs.push_back({i, -h_});
-    }
-    const std::vector<double> v =
-        exec::shifted_expectations(*plan, observable, params, specs);
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      grad[i] = (v[2 * i] - v[2 * i + 1]) / (2.0 * h_);
-    }
-    return grad;
-  }
+  std::vector<exec::ShiftSpec> specs;
+  specs.reserve(2 * params.size());
   for (std::size_t i = 0; i < params.size(); ++i) {
-    grad[i] = partial(circuit, observable, params, i);
+    specs.push_back({i, h_});
+    specs.push_back({i, -h_});
+  }
+  const std::vector<double> v =
+      exec::shifted_expectations(*plan, observable, params, specs);
+  std::vector<double> grad(params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    grad[i] = (v[2 * i] - v[2 * i + 1]) / (2.0 * h_);
   }
   return grad;
 }

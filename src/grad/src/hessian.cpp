@@ -2,13 +2,17 @@
 
 #include <cmath>
 
+#include "qbarren/exec/compiled_circuit.hpp"
+
 namespace qbarren {
 
 namespace {
 
+// Cost through the circuit's compiled plan (lowered on first use, then
+// reused from the circuit).
 double eval(const Circuit& circuit, const Observable& observable,
             const std::vector<double>& params) {
-  return observable.expectation(circuit.simulate(params));
+  return observable.expectation(exec::plan_for(circuit)->simulate(params));
 }
 
 void check(const Circuit& circuit, const Observable& observable,

@@ -1,3 +1,4 @@
+#include <array>
 #include <cmath>
 
 #include "qbarren/exec/batched.hpp"
@@ -8,29 +9,42 @@ namespace qbarren {
 
 namespace {
 
-// Evaluates C with params[index] shifted by +/- pi/2. All trainable gates
-// in qbarren are single-parameter Pauli rotations R(theta) = exp(-i theta
-// P/2), for which the two-term shift rule is exact (Schuld et al. 2019).
-double shifted_cost(const Circuit& circuit, const Observable& observable,
-                    std::span<const double> params, std::size_t index,
-                    double shift) {
-  std::vector<double> shifted(params.begin(), params.end());
-  shifted[index] += shift;
-  return observable.expectation(circuit.simulate(shifted));
-}
-
-// Four-term shift-rule constants for controlled rotations (generator
-// eigenvalues {0, +-1/2}; Anselmetti et al. 2021):
+// All trainable gates in qbarren are single-parameter Pauli rotations
+// R(theta) = exp(-i theta P/2), for which the two-term shift rule
+//   dC = [C(+pi/2) - C(-pi/2)] / 2
+// is exact (Schuld et al. 2019). Controlled rotations (generator
+// eigenvalues {0, +-1/2}) need the four-term rule (Anselmetti et al. 2021):
 //   dC = a [C(+pi/2) - C(-pi/2)] + b [C(+3pi/2) - C(-3pi/2)],
 //   a = (sqrt(2)+1)/(4 sqrt(2)),  b = -(sqrt(2)-1)/(4 sqrt(2)).
-struct FourTermRule {
-  double a;
-  double b;
-};
+constexpr double kShift = M_PI / 2.0;
 
-FourTermRule four_term_rule() {
-  const double sqrt2 = std::sqrt(2.0);
-  return {(sqrt2 + 1.0) / (4.0 * sqrt2), -(sqrt2 - 1.0) / (4.0 * sqrt2)};
+bool needs_four_terms(const Circuit& circuit, std::size_t index) {
+  return circuit.operation_for_parameter(index).kind ==
+         OpKind::kControlledRotation;
+}
+
+// Parameter `index`'s shifted bindings: +-pi/2, then +-3pi/2, of which the
+// two-term rule uses the first two.
+std::array<exec::ShiftSpec, 4> shift_specs(std::size_t index) {
+  return {{{index, kShift},
+           {index, -kShift},
+           {index, 3.0 * kShift},
+           {index, -3.0 * kShift}}};
+}
+
+std::size_t num_terms(bool four_term) { return four_term ? 4 : 2; }
+
+// The shift rule over one parameter's costs, in shift_specs order.
+double shift_rule(const double* v, bool four_term) {
+  if (four_term) {
+    const double sqrt2 = std::sqrt(2.0);
+    const double a = (sqrt2 + 1.0) / (4.0 * sqrt2);
+    const double b = -(sqrt2 - 1.0) / (4.0 * sqrt2);
+    const double d1 = v[0] - v[1];
+    const double d3 = v[2] - v[3];
+    return a * d1 + b * d3;
+  }
+  return 0.5 * (v[0] - v[1]);
 }
 
 }  // namespace
@@ -42,112 +56,44 @@ double ParameterShiftEngine::partial(const Circuit& circuit,
   check_args(circuit, observable, params);
   QBARREN_REQUIRE(index < params.size(),
                   "ParameterShiftEngine::partial: index out of range");
-  constexpr double kShift = M_PI / 2.0;
-
   // Attach the compiled plan first so operation_for_parameter below hits
   // the binding table rather than the linear scan.
   const auto plan = exec::plan_for(circuit);
-
-  if (circuit.operation_for_parameter(index).kind ==
-      OpKind::kControlledRotation) {
-    const auto [a, b] = four_term_rule();
-    if (plan != nullptr && exec::batching_enabled()) {
-      // All four shifted bindings in one batched dispatch (same prefix,
-      // per-lane shifted gate, shared suffix passes).
-      const exec::ShiftSpec specs[] = {{index, kShift},
-                                       {index, -kShift},
-                                       {index, 3.0 * kShift},
-                                       {index, -3.0 * kShift}};
-      const std::vector<double> v =
-          exec::shifted_expectations(*plan, observable, params, specs);
-      const double d1 = v[0] - v[1];
-      const double d3 = v[2] - v[3];
-      return a * d1 + b * d3;
-    }
-    if (plan != nullptr) {
-      // All four evaluations share the prefix state before the shifted
-      // gate; only that gate and its suffix are re-run per shift.
-      exec::PartialEvaluator cost(plan, observable, params, index);
-      const double d1 = cost(kShift) - cost(-kShift);
-      const double d3 = cost(3.0 * kShift) - cost(-3.0 * kShift);
-      return a * d1 + b * d3;
-    }
-    const double d1 =
-        shifted_cost(circuit, observable, params, index, kShift) -
-        shifted_cost(circuit, observable, params, index, -kShift);
-    const double d3 =
-        shifted_cost(circuit, observable, params, index, 3.0 * kShift) -
-        shifted_cost(circuit, observable, params, index, -3.0 * kShift);
-    return a * d1 + b * d3;
-  }
-
-  if (plan != nullptr && exec::batching_enabled()) {
-    // The +/- pair as a batch of 2 lanes sharing the prefix and suffix
-    // dispatch.
-    const exec::ShiftSpec specs[] = {{index, kShift}, {index, -kShift}};
-    const std::vector<double> v =
-        exec::shifted_expectations(*plan, observable, params, specs);
-    return 0.5 * (v[0] - v[1]);
-  }
-  if (plan != nullptr) {
-    // Prefix-state reuse: the Fig 5a hot path differentiates the LAST
-    // parameter, whose prefix is nearly the whole circuit — simulating it
-    // once roughly halves the forward work of the two evaluations.
-    exec::PartialEvaluator cost(plan, observable, params, index);
-    const double plus = cost(kShift);
-    const double minus = cost(-kShift);
-    return 0.5 * (plus - minus);
-  }
-  const double plus = shifted_cost(circuit, observable, params, index, kShift);
-  const double minus =
-      shifted_cost(circuit, observable, params, index, -kShift);
-  return 0.5 * (plus - minus);
+  const bool four_term = needs_four_terms(circuit, index);
+  // The shifted bindings share the prefix before the shifted gate and walk
+  // the suffix together as lanes of one batched dispatch.
+  const std::array<exec::ShiftSpec, 4> specs = shift_specs(index);
+  const std::vector<double> v = exec::shifted_expectations(
+      *plan, observable, params,
+      std::span<const exec::ShiftSpec>(specs.data(), num_terms(four_term)));
+  return shift_rule(v.data(), four_term);
 }
 
 std::vector<double> ParameterShiftEngine::gradient(
     const Circuit& circuit, const Observable& observable,
     std::span<const double> params) const {
   check_args(circuit, observable, params);
-  constexpr double kShift = M_PI / 2.0;
-  std::vector<double> grad(params.size());
   const auto plan = exec::plan_for(circuit);
-  if (plan != nullptr && exec::batching_enabled() && !params.empty()) {
-    // Build every parameter's shifted bindings (2 per rotation, 4 per
-    // controlled rotation) and evaluate them all through the chunked
-    // batched dispatch — one monotonic walk of the op stream instead of a
-    // fresh prefix simulation per parameter.
-    std::vector<exec::ShiftSpec> specs;
-    specs.reserve(2 * params.size());
-    std::vector<std::size_t> first_spec(params.size());
-    std::vector<bool> four_term(params.size());
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      first_spec[i] = specs.size();
-      four_term[i] = circuit.operation_for_parameter(i).kind ==
-                     OpKind::kControlledRotation;
-      specs.push_back({i, kShift});
-      specs.push_back({i, -kShift});
-      if (four_term[i]) {
-        specs.push_back({i, 3.0 * kShift});
-        specs.push_back({i, -3.0 * kShift});
-      }
-    }
-    const std::vector<double> v =
-        exec::shifted_expectations(*plan, observable, params, specs);
-    const auto [a, b] = four_term_rule();
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      const std::size_t s = first_spec[i];
-      if (four_term[i]) {
-        const double d1 = v[s] - v[s + 1];
-        const double d3 = v[s + 2] - v[s + 3];
-        grad[i] = a * d1 + b * d3;
-      } else {
-        grad[i] = 0.5 * (v[s] - v[s + 1]);
-      }
-    }
-    return grad;
-  }
+  // Every parameter's shifted bindings (2 per rotation, 4 per controlled
+  // rotation) through the chunked batched dispatch: one monotonic walk of
+  // the op stream instead of a fresh prefix simulation per parameter.
+  std::vector<exec::ShiftSpec> specs;
+  specs.reserve(2 * params.size());
+  std::vector<std::size_t> first_spec(params.size());
+  std::vector<bool> four_term(params.size());
   for (std::size_t i = 0; i < params.size(); ++i) {
-    grad[i] = partial(circuit, observable, params, i);
+    first_spec[i] = specs.size();
+    four_term[i] = needs_four_terms(circuit, i);
+    const std::array<exec::ShiftSpec, 4> own = shift_specs(i);
+    specs.insert(specs.end(), own.begin(),
+                 own.begin() + static_cast<std::ptrdiff_t>(
+                                   num_terms(four_term[i])));
+  }
+  const std::vector<double> v =
+      exec::shifted_expectations(*plan, observable, params, specs);
+  std::vector<double> grad(params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    grad[i] = shift_rule(v.data() + first_spec[i], four_term[i]);
   }
   return grad;
 }

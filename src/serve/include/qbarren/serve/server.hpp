@@ -6,10 +6,13 @@
 // connection after the terminal event. Requests run FIFO, one at a time
 // (the worker pool inside ExperimentService provides the parallelism);
 // connections beyond the bounded admission queue are rejected immediately
-// with a backpressure event instead of queueing without bound. SIGTERM or
-// SIGINT drains: the in-flight request's running cells finish (and land
-// in the result cache), queued connections are turned away, and run()
-// returns kExitInterrupted.
+// with a backpressure event instead of queueing without bound. A
+// connection must deliver its request line within a fixed deadline (5 s)
+// or be rejected with "request line timeout", so a silent client cannot
+// stall the FIFO; a line over 1 MiB is rejected as "request line too
+// long". SIGTERM or SIGINT drains: the in-flight request's running cells
+// finish (and land in the result cache), queued connections are turned
+// away, and run() returns kExitInterrupted.
 #pragma once
 
 #include <cstddef>

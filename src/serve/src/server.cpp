@@ -8,12 +8,15 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <deque>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -48,17 +51,41 @@ JsonValue rejection_event(const char* reason) {
   return event;
 }
 
-/// Reads one newline-terminated line from `fd` (the request). Returns
-/// false on EOF/error before a full line arrived.
-bool read_line(int fd, std::string& line) {
+/// How long an accepted connection may take to deliver its request line.
+/// The service loop reads one connection at a time, so without a deadline
+/// one client that connects and sends nothing blocks every later client.
+constexpr std::chrono::milliseconds kRequestLineDeadline{5000};
+/// Longest request line accepted (a request is a small JSON object).
+constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
+
+enum class LineRead { kLine, kClosed, kTooLong, kTimedOut };
+
+/// Reads one newline-terminated line from `fd` (the request) within
+/// kRequestLineDeadline. Bytes after the newline are discarded: the
+/// protocol sends exactly one line per connection.
+LineRead read_request_line(int fd, std::string& line) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline = Clock::now() + kRequestLineDeadline;
   line.clear();
-  char ch = 0;
+  char buffer[4096];
   while (true) {
-    const ssize_t n = ::read(fd, &ch, 1);
-    if (n <= 0) return false;
-    if (ch == '\n') return true;
-    line.push_back(ch);
-    if (line.size() > (1u << 20)) return false;  // oversized request
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - Clock::now());
+    if (left.count() <= 0) return LineRead::kTimedOut;
+    pollfd pfd{fd, POLLIN, 0};
+    const int ready = ::poll(&pfd, 1, static_cast<int>(left.count()));
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready == 0) return LineRead::kTimedOut;
+    if (ready < 0) return LineRead::kClosed;
+    const ssize_t n = ::read(fd, buffer, sizeof(buffer));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return LineRead::kClosed;
+    const char* begin = buffer;
+    const char* end = begin + n;
+    const char* newline = std::find(begin, end, '\n');
+    line.append(begin, newline);
+    if (line.size() > kMaxRequestLineBytes) return LineRead::kTooLong;
+    if (newline != end) return LineRead::kLine;
   }
 }
 
@@ -168,8 +195,13 @@ int SocketServer::run() {
     }
 
     std::string line;
-    if (!read_line(client, line)) {
+    const LineRead read = read_request_line(client, line);
+    if (read == LineRead::kClosed) {
       write_event(client, rejection_event("no request line"));
+    } else if (read == LineRead::kTooLong) {
+      write_event(client, rejection_event("request line too long"));
+    } else if (read == LineRead::kTimedOut) {
+      write_event(client, rejection_event("request line timeout"));
     } else {
       try {
         const RequestSpec spec = request_from_json(parse_json(line));

@@ -1,6 +1,7 @@
 // Tests for batched plan execution: the BatchedStateVector container, the
-// process batch-limit policy, and — most importantly — exact byte-identity
-// (==, not near) of every batched consumer against its serial counterpart:
+// process lane-cap policy, and — most importantly — exact byte-identity
+// (==, not near) of every batched consumer at every lane cap against the
+// interpreted oracle (interpreted_oracle.hpp) or a one-lane run:
 // simulate/expectation, the shifted-binding evaluator, all shift-rule
 // gradient engines, landscape rows, variance cells, and Rotosolve.
 #include "qbarren/exec/batched.hpp"
@@ -10,9 +11,11 @@
 #include <cmath>
 #include <vector>
 
+#include "interpreted_oracle.hpp"
 #include "qbarren/bp/landscape.hpp"
 #include "qbarren/bp/training.hpp"
 #include "qbarren/bp/variance.hpp"
+#include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/common/rng.hpp"
 #include "qbarren/exec/compiled_circuit.hpp"
 #include "qbarren/grad/engine.hpp"
@@ -25,97 +28,9 @@
 namespace qbarren {
 namespace {
 
-// Same 13-kind random circuit generator as test_exec.cpp: every op kind
-// the builders expose, so the batched kernels all get exercised.
-Circuit random_circuit(Rng& rng, std::size_t qubits, std::size_t num_ops) {
-  Circuit c(qubits);
-  const auto axis = [&] {
-    const std::size_t a = rng.index(3);
-    return a == 0 ? gates::Axis::kX : a == 1 ? gates::Axis::kY : gates::Axis::kZ;
-  };
-  const auto pair = [&](std::size_t& a, std::size_t& b) {
-    a = rng.index(qubits);
-    b = rng.index(qubits - 1);
-    if (b >= a) ++b;
-  };
-  for (std::size_t i = 0; i < num_ops; ++i) {
-    const std::size_t q = rng.index(qubits);
-    std::size_t a = 0;
-    std::size_t b = 0;
-    switch (rng.index(13)) {
-      case 0:
-        c.add_rotation(axis(), q);
-        break;
-      case 1:
-        pair(a, b);
-        c.add_controlled_rotation(axis(), a, b);
-        break;
-      case 2:
-        c.add_fixed_rotation(axis(), q, rng.uniform(-M_PI, M_PI));
-        break;
-      case 3:
-        c.add_hadamard(q);
-        break;
-      case 4:
-        c.add_pauli_x(q);
-        break;
-      case 5:
-        c.add_pauli_y(q);
-        break;
-      case 6:
-        c.add_pauli_z(q);
-        break;
-      case 7:
-        c.add_s(q);
-        break;
-      case 8:
-        c.add_t(q);
-        break;
-      case 9:
-        pair(a, b);
-        c.add_cz(a, b);
-        break;
-      case 10:
-        pair(a, b);
-        c.add_cnot(a, b);
-        break;
-      case 11:
-        pair(a, b);
-        c.add_swap(a, b);
-        break;
-      case 12:
-        if (rng.bernoulli(0.5)) {
-          c.add_custom_gate("u3", gates::u3(rng.uniform(0.0, M_PI),
-                                            rng.uniform(0.0, 2.0 * M_PI),
-                                            rng.uniform(0.0, 2.0 * M_PI)),
-                            q);
-        } else {
-          pair(a, b);
-          c.add_custom_two_qubit_gate(
-              "crz*swap", gates::crz(rng.uniform(-M_PI, M_PI)) * gates::swap(),
-              std::min(a, b), std::max(a, b));
-        }
-        break;
-    }
-  }
-  return c;
-}
-
-void expect_states_equal(const StateVector& got, const StateVector& want) {
-  ASSERT_EQ(got.dimension(), want.dimension());
-  for (std::size_t i = 0; i < got.dimension(); ++i) {
-    EXPECT_EQ(got.amplitudes()[i].real(), want.amplitudes()[i].real()) << i;
-    EXPECT_EQ(got.amplitudes()[i].imag(), want.amplitudes()[i].imag()) << i;
-  }
-}
-
-void expect_vectors_equal(const std::vector<double>& got,
-                          const std::vector<double>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i], want[i]) << "index " << i;
-  }
-}
+using oracle::expect_states_equal;
+using oracle::expect_vectors_equal;
+using oracle::random_circuit;
 
 // --- BatchedStateVector ------------------------------------------------------
 
@@ -163,34 +78,89 @@ TEST(BatchedStateVector, RejectsInvalidShapesAndLanes) {
 
 // --- batch-limit policy ------------------------------------------------------
 
-TEST(BatchPolicy, DefaultsToOffAndScopedLimitRestores) {
-  EXPECT_EQ(exec::batch_limit(), exec::kBatchOff);
-  EXPECT_FALSE(exec::batching_enabled());
+TEST(BatchPolicy, DefaultsToAutoAndScopedLimitRestores) {
+  EXPECT_EQ(exec::batch_limit(), exec::kBatchAuto);
   {
     exec::ScopedBatchLimit limit(8);
     EXPECT_EQ(exec::batch_limit(), 8u);
-    EXPECT_TRUE(exec::batching_enabled());
     {
-      exec::ScopedBatchLimit inner(exec::kBatchAuto);
-      EXPECT_EQ(exec::batch_limit(), exec::kBatchAuto);
-      EXPECT_TRUE(exec::batching_enabled());
+      exec::ScopedBatchLimit inner(1);
+      EXPECT_EQ(exec::batch_limit(), 1u);
     }
     EXPECT_EQ(exec::batch_limit(), 8u);
   }
-  EXPECT_EQ(exec::batch_limit(), exec::kBatchOff);
-  EXPECT_FALSE(exec::batching_enabled());
+  EXPECT_EQ(exec::batch_limit(), exec::kBatchAuto);
 }
 
 TEST(BatchPolicy, ResolveBatchLanesCapsAndFloors) {
-  // Explicit limit: min(limit, natural), at least 1.
-  EXPECT_EQ(exec::resolve_batch_lanes(4, 100), 4u);
-  EXPECT_EQ(exec::resolve_batch_lanes(4, 3), 3u);
-  EXPECT_EQ(exec::resolve_batch_lanes(1, 100), 1u);
-  EXPECT_EQ(exec::resolve_batch_lanes(7, 0), 1u);
-  // Auto: min(kAutoBatchLanes, natural).
-  EXPECT_EQ(exec::resolve_batch_lanes(exec::kBatchAuto, 100),
+  // Explicit limit: min(limit, natural), at least 1, at any width.
+  EXPECT_EQ(exec::resolve_batch_lanes(4, 100, 4, 2), 4u);
+  EXPECT_EQ(exec::resolve_batch_lanes(4, 3, 4, 2), 3u);
+  EXPECT_EQ(exec::resolve_batch_lanes(1, 100, 4, 2), 1u);
+  EXPECT_EQ(exec::resolve_batch_lanes(7, 0, 4, 2), 1u);
+  EXPECT_EQ(exec::resolve_batch_lanes(64, 100, 20, 2), 64u);
+  // Auto on a narrow register: min(kAutoBatchLanes, natural).
+  EXPECT_EQ(exec::resolve_batch_lanes(exec::kBatchAuto, 100, 10, 2),
             exec::kAutoBatchLanes);
-  EXPECT_EQ(exec::resolve_batch_lanes(exec::kBatchAuto, 5), 5u);
+  EXPECT_EQ(exec::resolve_batch_lanes(exec::kBatchAuto, 5, 10, 2), 5u);
+}
+
+TEST(BatchPolicy, AutoLanesAreBoundedByTheByteBudget) {
+  // 32 lanes of a q=20 register would hold 512 MiB; auto keeps lanes plus
+  // the consumer's resident states within kAutoBatchBytes, and never
+  // drops below one lane.
+  const std::size_t q20_state_bytes = (std::size_t{1} << 20) * 16;
+  for (const std::size_t resident : {0u, 1u, 2u}) {
+    const std::size_t q20 =
+        exec::resolve_batch_lanes(exec::kBatchAuto, 100, 20, resident);
+    EXPECT_GE(q20, 1u);
+    EXPECT_LE(q20, exec::kAutoBatchBytes / q20_state_bytes);
+  }
+  EXPECT_EQ(exec::resolve_batch_lanes(exec::kBatchAuto, 100, 20, 2), 1u);
+  EXPECT_EQ(exec::resolve_batch_lanes(exec::kBatchAuto, 100, 19, 2), 2u);
+  for (std::size_t q = 1; q <= 30; ++q) {
+    const std::size_t lanes =
+        exec::resolve_batch_lanes(exec::kBatchAuto, 100, q, 2);
+    EXPECT_GE(lanes, 1u) << q;
+    EXPECT_LE(lanes, exec::kAutoBatchLanes) << q;
+    if (lanes > 1) {
+      EXPECT_LE((lanes + 2) * (std::size_t{16} << q), exec::kAutoBatchBytes)
+          << q;
+    }
+  }
+  EXPECT_EQ(exec::resolve_batch_lanes(exec::kBatchAuto, 100, 63, 2), 1u);
+}
+
+TEST(BatchPolicy, FourTermGroupMatchesOracleAtEveryLaneCap) {
+  // A controlled rotation's four shifted bindings stay in one chunk at any
+  // cap of 4 or more and are cut into pieces below it (one lane each at
+  // cap 1, which auto resolves to at q=20); every chunking still matches
+  // the interpreter exactly. Small circuit: three ops on a 16 MiB
+  // register.
+  const std::size_t qubits = 20;
+  ASSERT_EQ(exec::resolve_batch_lanes(exec::kBatchAuto, 6, qubits, 2), 1u);
+  Circuit c(qubits);
+  c.add_hadamard(0);
+  c.add_controlled_rotation(gates::Axis::kY, 0, 1);
+  c.add_rotation(gates::Axis::kX, 2);
+  const GlobalZeroObservable observable(qubits);
+  const std::vector<double> params{0.7, -0.4};
+  const auto plan = exec::plan_for(c);
+
+  constexpr double kShift = M_PI / 2.0;
+  const std::vector<exec::ShiftSpec> specs = {
+      {0, kShift}, {0, -kShift}, {0, 3.0 * kShift}, {0, -3.0 * kShift},
+      {1, kShift}, {1, -kShift}};
+  std::vector<double> want;
+  for (const exec::ShiftSpec& spec : specs) {
+    want.push_back(
+        oracle::shifted_cost(c, observable, params, spec.param, spec.delta));
+  }
+  for (const std::size_t limit : {exec::kBatchAuto, 1ul, 3ul, 4ul, 5ul}) {
+    exec::ScopedBatchLimit scoped(limit);
+    expect_vectors_equal(
+        exec::shifted_expectations(*plan, observable, params, specs), want);
+  }
 }
 
 // --- simulate_batch / expectation_batch --------------------------------------
@@ -251,7 +221,7 @@ TEST(BatchedExecution, ExpectationBatchMatchesSerialForEveryObservable) {
 
 // --- shifted_expectations ----------------------------------------------------
 
-TEST(ShiftedExpectations, MatchesPartialEvaluatorAtEveryChunking) {
+TEST(ShiftedExpectations, MatchesOracleAtEveryChunking) {
   Rng rng(31);
   const std::size_t qubits = 4;
   Circuit c = random_circuit(rng, qubits, 36);
@@ -272,12 +242,12 @@ TEST(ShiftedExpectations, MatchesPartialEvaluatorAtEveryChunking) {
 
   std::vector<double> want(specs.size());
   for (std::size_t s = 0; s < specs.size(); ++s) {
-    exec::PartialEvaluator cost(plan, observable, params, specs[s].param);
-    want[s] = cost(specs[s].delta);
+    want[s] = oracle::shifted_cost(c, observable, params, specs[s].param,
+                                   specs[s].delta);
   }
 
   // Every chunking — single-lane, tiny, non-power-of-two, auto, and wider
-  // than the spec list — must reproduce the serial evaluator exactly.
+  // than the spec list — must reproduce the interpreter exactly.
   for (const std::size_t limit : {1u, 2u, 5u, 16u, 1000u}) {
     exec::ScopedBatchLimit scoped(limit);
     expect_vectors_equal(
@@ -302,24 +272,26 @@ TEST(BatchedGradients, ShiftRuleEnginesMatchSerialExactly) {
     c.add_rotation(gates::Axis::kY, 1);
     c.add_controlled_rotation(gates::Axis::kZ, 0, 2);
     const std::size_t num_params = c.num_parameters();
+    const std::size_t last = num_params - 1;
     const GlobalZeroObservable observable(qubits);
     const std::vector<double> params =
         rng.uniform_vector(num_params, -M_PI, M_PI);
 
-    for (const char* name : {"parameter-shift", "finite-difference"}) {
-      const auto engine = make_gradient_engine(name);
-      const std::vector<double> serial_grad =
-          engine->gradient(c, observable, params);
-      const double serial_partial =
-          engine->partial(c, observable, params, num_params - 1);
-      for (const std::size_t limit : {exec::kBatchAuto, 2ul, 5ul, 16ul}) {
-        exec::ScopedBatchLimit scoped(limit);
-        expect_vectors_equal(engine->gradient(c, observable, params),
-                             serial_grad);
-        EXPECT_EQ(engine->partial(c, observable, params, num_params - 1),
-                  serial_partial)
-            << name << " limit " << limit;
-      }
+    const ParameterShiftEngine ps;
+    const FiniteDifferenceEngine fd;
+    const std::vector<double> ps_grad =
+        oracle::parameter_shift_gradient(c, observable, params);
+    const std::vector<double> fd_grad =
+        oracle::finite_difference_gradient(c, observable, params);
+    for (const std::size_t limit : {1ul, exec::kBatchAuto, 2ul, 5ul, 16ul}) {
+      exec::ScopedBatchLimit scoped(limit);
+      expect_vectors_equal(ps.gradient(c, observable, params), ps_grad);
+      expect_vectors_equal(fd.gradient(c, observable, params), fd_grad);
+      EXPECT_EQ(ps.partial(c, observable, params, last), ps_grad[last])
+          << "limit " << limit;
+      EXPECT_EQ(fd.partial(c, observable, params, last),
+                oracle::finite_difference_partial(c, observable, params, last))
+          << "limit " << limit;
     }
   }
 }
@@ -334,20 +306,21 @@ TEST(BatchedGradients, SpsaMatchesSerialExactly) {
       rng.uniform_vector(c.num_parameters(), -M_PI, M_PI);
 
   // SPSA is stateful (its own RNG advances per call), so each comparison
-  // uses a fresh engine seeded identically.
-  const std::vector<double> serial =
-      SpsaEngine(7, 0.1).gradient(c, observable, params);
-  for (const std::size_t limit : {exec::kBatchAuto, 2ul, 16ul}) {
+  // uses a fresh engine seeded identically. Its +/- pair is two serial
+  // simulations at every lane cap.
+  const std::vector<double> want =
+      oracle::spsa_gradient(c, observable, params, 7, 0.1);
+  for (const std::size_t limit : {1ul, exec::kBatchAuto, 2ul, 16ul}) {
     exec::ScopedBatchLimit scoped(limit);
     expect_vectors_equal(SpsaEngine(7, 0.1).gradient(c, observable, params),
-                         serial);
+                         want);
   }
 }
 
-TEST(BatchedGradients, MalformedCustomGateStillFallsBackToInterpreted) {
-  // compile() refuses the 3x3 "gate", plan_for returns nullptr, and the
-  // engines take their interpreted path — a batch limit changes nothing,
-  // including the interpreted fallback's error report on execution.
+TEST(BatchedGradients, MalformedCustomGateIsRefusedAtEveryLaneCap) {
+  // compile() refuses the 3x3 "gate", so plan_for and every shift-rule
+  // engine throw InvalidArgument whatever the lane cap; nothing runs the
+  // gate another way.
   Circuit c(2);
   c.add_rotation(gates::Axis::kX, 0);
   c.add_custom_gate("bad-dims", ComplexMatrix(3, 3), 1);
@@ -355,13 +328,19 @@ TEST(BatchedGradients, MalformedCustomGateStillFallsBackToInterpreted) {
   const GlobalZeroObservable observable(2);
   const std::vector<double> params{0.3, -1.1};
 
-  const auto engine = make_gradient_engine("parameter-shift");
-  {
-    exec::ScopedBatchLimit scoped(8);
-    EXPECT_EQ(exec::plan_for(c), nullptr);
-    EXPECT_THROW((void)engine->gradient(c, observable, params),
-                 InvalidArgument);
-    EXPECT_THROW((void)c.simulate(params), InvalidArgument);
+  for (const std::size_t limit : {1ul, exec::kBatchAuto, 8ul}) {
+    exec::ScopedBatchLimit scoped(limit);
+    EXPECT_THROW((void)exec::plan_for(c), InvalidArgument);
+    for (const char* name : {"parameter-shift", "finite-difference"}) {
+      const auto engine = make_gradient_engine(name);
+      EXPECT_THROW((void)engine->gradient(c, observable, params),
+                   InvalidArgument)
+          << name;
+      EXPECT_THROW((void)engine->partial(c, observable, params, 1),
+                   InvalidArgument)
+          << name;
+    }
+    EXPECT_EQ(c.execution_plan(), nullptr);
   }
 }
 
@@ -373,14 +352,37 @@ TEST(BatchedLandscape, ScanMatchesSerialAtNonPowerOfTwoWidth) {
   options.layers = 4;
   options.grid_points = 7;  // 7 % 3 != 0: rows chunk unevenly
   options.seed = 5;
-  const LandscapeResult serial = scan_landscape(options);
+
+  // Point-by-point interpreted reference, same background draw as the
+  // scan.
+  const Circuit circuit = motivational_ansatz(options.qubits, options.layers);
+  const auto observable = make_cost_observable(options.cost, options.qubits);
+  Rng rng(options.seed);
+  std::vector<double> params =
+      rng.uniform_vector(circuit.num_parameters(), 0.0, 2.0 * M_PI);
+  const LandscapeResult one_lane = [&] {
+    exec::ScopedBatchLimit scoped(1);
+    return scan_landscape(options);
+  }();
+  const std::size_t n = options.grid_points;
+  std::vector<double> want(n * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    params[options.param_a] = one_lane.axis[i];
+    for (std::size_t j = 0; j < n; ++j) {
+      params[options.param_b] = one_lane.axis[j];
+      want[i * n + j] =
+          observable->expectation(oracle::simulate(circuit, params));
+    }
+  }
+  expect_vectors_equal(one_lane.values, want);
+
   for (const std::size_t limit : {3ul, exec::kBatchAuto}) {
     exec::ScopedBatchLimit scoped(limit);
     const LandscapeResult batched = scan_landscape(options);
-    expect_vectors_equal(batched.values, serial.values);
-    EXPECT_EQ(batched.min_value, serial.min_value);
-    EXPECT_EQ(batched.max_value, serial.max_value);
-    EXPECT_EQ(batched.stddev, serial.stddev);
+    expect_vectors_equal(batched.values, want);
+    EXPECT_EQ(batched.min_value, one_lane.min_value);
+    EXPECT_EQ(batched.max_value, one_lane.max_value);
+    EXPECT_EQ(batched.stddev, one_lane.stddev);
   }
 }
 
@@ -396,19 +398,23 @@ TEST(BatchedVariance, CellSamplesMatchSerialExactly) {
   ASSERT_FALSE(initializers.empty());
   const auto engine = make_gradient_engine(options.gradient_engine);
 
-  const std::vector<double> serial = compute_variance_cell(
-      options, 0, *initializers.front(), 0, *engine);
-  {
-    exec::ScopedBatchLimit scoped(exec::kBatchAuto);
-    expect_vectors_equal(
-        compute_variance_cell(options, 0, *initializers.front(), 0, *engine),
-        serial);
+  const auto cell = [&] {
+    return compute_variance_cell(options, 0, *initializers.front(), 0,
+                                 *engine);
+  };
+  const std::vector<double> one_lane = [&] {
+    exec::ScopedBatchLimit scoped(1);
+    return cell();
+  }();
+  for (const std::size_t limit : {exec::kBatchAuto, 4ul}) {
+    exec::ScopedBatchLimit scoped(limit);
+    expect_vectors_equal(cell(), one_lane);
   }
 }
 
 TEST(BatchedSweep, FinalLossesMatchSerialExactly) {
-  // The CLI's `sweep --batch` path: a whole training sweep under a
-  // scoped batch limit is byte-identical to the serial run.
+  // The CLI's `sweep --batch` path: a whole training sweep is
+  // byte-identical at every lane cap.
   TrainingSweepOptions options;
   options.base.qubits = 3;
   options.base.layers = 2;
@@ -419,19 +425,24 @@ TEST(BatchedSweep, FinalLossesMatchSerialExactly) {
   std::vector<const Initializer*> inits;
   for (const auto& init : owned) inits.push_back(init.get());
 
-  const TrainingSweepResult serial = run_training_sweep(inits, options);
+  const TrainingSweepResult one_lane = [&] {
+    exec::ScopedBatchLimit scoped(1);
+    return run_training_sweep(inits, options);
+  }();
   exec::ScopedBatchLimit scoped(4);
   const TrainingSweepResult batched = run_training_sweep(inits, options);
-  ASSERT_EQ(batched.series.size(), serial.series.size());
-  for (std::size_t s = 0; s < serial.series.size(); ++s) {
+  ASSERT_EQ(batched.series.size(), one_lane.series.size());
+  for (std::size_t s = 0; s < one_lane.series.size(); ++s) {
     expect_vectors_equal(batched.series[s].final_losses,
-                         serial.series[s].final_losses);
+                         one_lane.series[s].final_losses);
   }
 }
 
 // --- rotosolve ---------------------------------------------------------------
 
 TEST(BatchedRotosolve, TrainingHistoryMatchesSerialExactly) {
+  // Rotosolve runs every probe as a serial plan simulation; its whole
+  // history must match the same sweep on the interpreted oracle.
   auto circuit = std::make_shared<Circuit>(3);
   for (std::size_t layer = 0; layer < 3; ++layer) {
     for (std::size_t q = 0; q < 3; ++q) {
@@ -448,14 +459,34 @@ TEST(BatchedRotosolve, TrainingHistoryMatchesSerialExactly) {
 
   RotosolveOptions options;
   options.max_sweeps = 3;
-  const TrainResult serial = train_rotosolve(cost, init, options);
-  {
-    exec::ScopedBatchLimit scoped(4);
-    const TrainResult batched = train_rotosolve(cost, init, options);
-    expect_vectors_equal(batched.loss_history, serial.loss_history);
-    expect_vectors_equal(batched.final_params, serial.final_params);
-    EXPECT_EQ(batched.final_loss, serial.final_loss);
+  const TrainResult trained = train_rotosolve(cost, init, options);
+
+  const GlobalZeroObservable observable(3);
+  const auto oracle_cost = [&](const std::vector<double>& params) {
+    return observable.expectation(oracle::simulate(*circuit, params));
+  };
+  std::vector<double> params = init;
+  std::vector<double> history{oracle_cost(params)};
+  for (std::size_t sweep = 0; sweep < options.max_sweeps; ++sweep) {
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      const double theta = params[i];
+      const double at = oracle_cost(params);
+      params[i] = theta + M_PI / 2.0;
+      const double plus = oracle_cost(params);
+      params[i] = theta - M_PI / 2.0;
+      const double minus = oracle_cost(params);
+      params[i] = theta - M_PI / 2.0 -
+                  std::atan2(2.0 * at - plus - minus, plus - minus);
+    }
+    history.push_back(oracle_cost(params));
+    const double improvement = history[history.size() - 2] - history.back();
+    if (improvement < options.min_improvement) {
+      break;
+    }
   }
+  expect_vectors_equal(trained.loss_history, history);
+  expect_vectors_equal(trained.final_params, params);
+  EXPECT_EQ(trained.final_loss, history.back());
 }
 
 }  // namespace

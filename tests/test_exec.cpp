@@ -1,107 +1,30 @@
 // Tests for the compiled execution-plan layer: lowering stats, fusion,
-// plan attachment/invalidation, and — most importantly — bit-identity of
-// the compiled path against the interpreted path for simulate, unitary,
-// all four gradient engines, and the noisy density-matrix simulator, on
+// plan attachment/invalidation, the refusal of malformed custom gates, and
+// — most importantly — bit-identity of the compiled path against the
+// interpreted oracle (interpreted_oracle.hpp) for simulate, unitary, all
+// four gradient engines, and the noisy density-matrix simulator, on
 // randomized circuits mixing every op kind.
 #include "qbarren/exec/compiled_circuit.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "interpreted_oracle.hpp"
 #include "qbarren/common/rng.hpp"
 #include "qbarren/dsim/noisy.hpp"
+#include "qbarren/exec/batched.hpp"
 #include "qbarren/grad/engine.hpp"
 #include "qbarren/obs/observable.hpp"
 
 namespace qbarren {
 namespace {
 
-// Random circuit mixing every op kind the builders expose. Interpreted
-// references must be copied from the returned circuit BEFORE a plan is
-// attached (copies share an already-attached plan).
-Circuit random_circuit(Rng& rng, std::size_t qubits, std::size_t num_ops) {
-  Circuit c(qubits);
-  const auto axis = [&] {
-    const std::size_t a = rng.index(3);
-    return a == 0 ? gates::Axis::kX : a == 1 ? gates::Axis::kY : gates::Axis::kZ;
-  };
-  const auto pair = [&](std::size_t& a, std::size_t& b) {
-    a = rng.index(qubits);
-    b = rng.index(qubits - 1);
-    if (b >= a) ++b;
-  };
-  for (std::size_t i = 0; i < num_ops; ++i) {
-    const std::size_t q = rng.index(qubits);
-    std::size_t a = 0;
-    std::size_t b = 0;
-    switch (rng.index(13)) {
-      case 0:
-        c.add_rotation(axis(), q);
-        break;
-      case 1:
-        pair(a, b);
-        c.add_controlled_rotation(axis(), a, b);
-        break;
-      case 2:
-        c.add_fixed_rotation(axis(), q, rng.uniform(-M_PI, M_PI));
-        break;
-      case 3:
-        c.add_hadamard(q);
-        break;
-      case 4:
-        c.add_pauli_x(q);
-        break;
-      case 5:
-        c.add_pauli_y(q);
-        break;
-      case 6:
-        c.add_pauli_z(q);
-        break;
-      case 7:
-        c.add_s(q);
-        break;
-      case 8:
-        c.add_t(q);
-        break;
-      case 9:
-        pair(a, b);
-        c.add_cz(a, b);
-        break;
-      case 10:
-        pair(a, b);
-        c.add_cnot(a, b);
-        break;
-      case 11:
-        pair(a, b);
-        c.add_swap(a, b);
-        break;
-      case 12:
-        if (rng.bernoulli(0.5)) {
-          c.add_custom_gate("u3", gates::u3(rng.uniform(0.0, M_PI),
-                                            rng.uniform(0.0, 2.0 * M_PI),
-                                            rng.uniform(0.0, 2.0 * M_PI)),
-                            q);
-        } else {
-          pair(a, b);
-          c.add_custom_two_qubit_gate(
-              "crz*swap", gates::crz(rng.uniform(-M_PI, M_PI)) * gates::swap(),
-              std::min(a, b), std::max(a, b));
-        }
-        break;
-    }
-  }
-  return c;
-}
-
-void expect_states_equal(const StateVector& got, const StateVector& want) {
-  ASSERT_EQ(got.dimension(), want.dimension());
-  for (std::size_t i = 0; i < got.dimension(); ++i) {
-    EXPECT_EQ(got.amplitudes()[i].real(), want.amplitudes()[i].real()) << i;
-    EXPECT_EQ(got.amplitudes()[i].imag(), want.amplitudes()[i].imag()) << i;
-  }
-}
+using oracle::expect_states_equal;
+using oracle::random_circuit;
 
 TEST(CompiledCircuit, LoweringStatsAndFusion) {
   Circuit c(2);
@@ -174,32 +97,15 @@ TEST(CompiledCircuit, PlanAttachShareAndInvalidate) {
   EXPECT_EQ(replan->stats().source_ops, 3u);
 }
 
-TEST(CompiledCircuit, ScopedToggleDisablesPlanFor) {
-  Circuit c(1);
-  c.add_rotation(gates::Axis::kY, 0);
-  ASSERT_TRUE(exec::execution_plans_enabled());
-  {
-    exec::ScopedExecutionPlans off(false);
-    EXPECT_FALSE(exec::execution_plans_enabled());
-    EXPECT_EQ(exec::plan_for(c), nullptr);
-    EXPECT_EQ(c.execution_plan(), nullptr);  // nothing was attached
-  }
-  EXPECT_TRUE(exec::execution_plans_enabled());
-  EXPECT_NE(exec::plan_for(c), nullptr);
-}
-
 TEST(CompiledCircuit, SimulateMatchesInterpretedOnRandomCircuits) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     Rng rng(seed);
     Circuit c = random_circuit(rng, 4, 40);
-    const Circuit interpreted = c;  // copied before any plan is attached
     const auto params =
         rng.uniform_vector(c.num_parameters(), -M_PI, M_PI);
 
     ASSERT_NE(exec::plan_for(c), nullptr);
-    const StateVector compiled = c.simulate(params);
-    const StateVector reference = interpreted.simulate(params);
-    expect_states_equal(compiled, reference);
+    expect_states_equal(c.simulate(params), oracle::simulate(c, params));
   }
 }
 
@@ -229,21 +135,16 @@ TEST(CompiledCircuit, GradientEnginesMatchInterpretedExactly) {
   for (std::uint64_t seed = 20; seed < 26; ++seed) {
     Rng rng(seed);
     Circuit c = random_circuit(rng, 4, 35);
-    const Circuit interpreted = c;
     const auto params =
         rng.uniform_vector(c.num_parameters(), -M_PI, M_PI);
 
-    ASSERT_NE(exec::plan_for(c), nullptr);
-    for (const GradientEngine* engine :
-         {static_cast<const GradientEngine*>(&ps),
-          static_cast<const GradientEngine*>(&fd),
-          static_cast<const GradientEngine*>(&adj)}) {
+    const ValueAndGradient reference_vg = oracle::adjoint(c, obs, params);
+    const std::pair<const GradientEngine*, std::vector<double>> cases[] = {
+        {&ps, oracle::parameter_shift_gradient(c, obs, params)},
+        {&fd, oracle::finite_difference_gradient(c, obs, params)},
+        {&adj, reference_vg.gradient}};
+    for (const auto& [engine, reference] : cases) {
       const auto compiled = engine->gradient(c, obs, params);
-      std::vector<double> reference;
-      {
-        exec::ScopedExecutionPlans off(false);
-        reference = engine->gradient(interpreted, obs, params);
-      }
       ASSERT_EQ(compiled.size(), reference.size());
       for (std::size_t i = 0; i < compiled.size(); ++i) {
         EXPECT_EQ(compiled[i], reference[i])
@@ -253,11 +154,6 @@ TEST(CompiledCircuit, GradientEnginesMatchInterpretedExactly) {
 
     // value_and_gradient carries the same bit-identity guarantee.
     const ValueAndGradient compiled_vg = adj.value_and_gradient(c, obs, params);
-    ValueAndGradient reference_vg;
-    {
-      exec::ScopedExecutionPlans off(false);
-      reference_vg = adj.value_and_gradient(interpreted, obs, params);
-    }
     EXPECT_EQ(compiled_vg.value, reference_vg.value);
     for (std::size_t i = 0; i < compiled_vg.gradient.size(); ++i) {
       EXPECT_EQ(compiled_vg.gradient[i], reference_vg.gradient[i]) << i;
@@ -268,27 +164,18 @@ TEST(CompiledCircuit, GradientEnginesMatchInterpretedExactly) {
 TEST(CompiledCircuit, SpsaSameSeedMatchesInterpreted) {
   Rng rng(31);
   Circuit c = random_circuit(rng, 4, 30);
-  const Circuit interpreted = c;
   const auto params = rng.uniform_vector(c.num_parameters(), -M_PI, M_PI);
   const GlobalZeroObservable obs(4);
 
-  ASSERT_NE(exec::plan_for(c), nullptr);
-  const SpsaEngine compiled_engine(123);
-  const auto compiled = compiled_engine.gradient(c, obs, params);
-  std::vector<double> reference;
-  {
-    exec::ScopedExecutionPlans off(false);
-    const SpsaEngine interpreted_engine(123);
-    reference = interpreted_engine.gradient(interpreted, obs, params);
-  }
-  ASSERT_EQ(compiled.size(), reference.size());
-  for (std::size_t i = 0; i < compiled.size(); ++i) {
-    EXPECT_EQ(compiled[i], reference[i]) << i;
-  }
+  const SpsaEngine engine(123);
+  oracle::expect_vectors_equal(
+      engine.gradient(c, obs, params),
+      oracle::spsa_gradient(c, obs, params, 123, 0.01));
 }
 
 TEST(CompiledCircuit, PrefixReusePartialsCrossCheck) {
-  // partial() takes the prefix-reuse path; gradient() loops partial. Both
+  // partial() shares the prefix before the shifted gate across its
+  // evaluations; gradient() walks every parameter's shifts at once. Both
   // must agree with each other and with the interpreted partial — exactly,
   // including the controlled-rotation four-term rule.
   Circuit c(3);
@@ -298,7 +185,6 @@ TEST(CompiledCircuit, PrefixReusePartialsCrossCheck) {
   c.add_cnot(1, 2);
   c.add_rotation(gates::Axis::kX, 2);
   c.add_rotation(gates::Axis::kZ, 1);
-  const Circuit interpreted = c;
 
   Rng rng(5);
   const auto params = rng.uniform_vector(c.num_parameters(), -M_PI, M_PI);
@@ -306,20 +192,14 @@ TEST(CompiledCircuit, PrefixReusePartialsCrossCheck) {
   const ParameterShiftEngine ps;
   const FiniteDifferenceEngine fd;
 
-  ASSERT_NE(exec::plan_for(c), nullptr);
   const auto grad = ps.gradient(c, obs, params);
   for (std::size_t i = 0; i < params.size(); ++i) {
     EXPECT_EQ(ps.partial(c, obs, params, i), grad[i]) << i;
     EXPECT_EQ(fd.partial(c, obs, params, i),
-              [&] {
-                exec::ScopedExecutionPlans off(false);
-                return fd.partial(interpreted, obs, params, i);
-              }())
+              oracle::finite_difference_partial(c, obs, params, i))
         << i;
-    {
-      exec::ScopedExecutionPlans off(false);
-      EXPECT_EQ(ps.partial(interpreted, obs, params, i), grad[i]) << i;
-    }
+    EXPECT_EQ(oracle::parameter_shift_partial(c, obs, params, i), grad[i])
+        << i;
   }
 }
 
@@ -340,37 +220,62 @@ TEST(CompiledCircuit, OperationForParameterTableMatchesScan) {
   }
 }
 
-TEST(CompiledCircuit, MalformedCustomGateFallsBackToInterpreted) {
+TEST(CompiledCircuit, MalformedCustomGateIsRefusedByEveryEngine) {
   Circuit c(2);
   c.add_rotation(gates::Axis::kY, 0);
   c.add_custom_gate("bad-dims", ComplexMatrix(3, 3), 1);
+  const std::vector<double> params{0.3};
+  const GlobalZeroObservable obs(2);
 
-  // Lowering fails, so plan_for declines to attach anything...
-  EXPECT_EQ(exec::plan_for(c), nullptr);
+  // Lowering refuses, naming the gate and the lint rule, and attaches
+  // nothing.
+  try {
+    (void)exec::plan_for(c);
+    ADD_FAILURE() << "plan_for accepted a 3x3 custom gate";
+  } catch (const InvalidArgument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("bad-dims"), std::string::npos) << what;
+    EXPECT_NE(what.find("QB006"), std::string::npos) << what;
+  }
   EXPECT_EQ(c.execution_plan(), nullptr);
-  // ...and execution still reports the malformed gate the usual way.
-  EXPECT_THROW((void)c.simulate(std::vector<double>{0.3}), InvalidArgument);
+
+  // Every consumer of the plan refuses the same way instead of running the
+  // gate some other way.
+  const ParameterShiftEngine ps;
+  const FiniteDifferenceEngine fd;
+  const AdjointEngine adj;
+  const SpsaEngine spsa(1);
+  for (const GradientEngine* engine :
+       {static_cast<const GradientEngine*>(&ps),
+        static_cast<const GradientEngine*>(&fd),
+        static_cast<const GradientEngine*>(&adj),
+        static_cast<const GradientEngine*>(&spsa)}) {
+    EXPECT_THROW((void)engine->gradient(c, obs, params), InvalidArgument)
+        << engine->name();
+    EXPECT_THROW((void)engine->partial(c, obs, params, 0), InvalidArgument)
+        << engine->name();
+  }
+  EXPECT_THROW((void)adj.value_and_gradient(c, obs, params), InvalidArgument);
+  EXPECT_THROW((void)simulate_noisy(c, params, make_depolarizing_model(0.01,
+                                                                       0.02)),
+               InvalidArgument);
+  // The plan-less interpreter reports the malformed gate on execution.
+  EXPECT_THROW((void)c.simulate(params), InvalidArgument);
 }
 
 TEST(CompiledCircuit, NoisySimulatorMatchesInterpreted) {
   Rng rng(51);
   Circuit c = random_circuit(rng, 3, 20);
-  const Circuit interpreted = c;
   const auto params = rng.uniform_vector(c.num_parameters(), -M_PI, M_PI);
   const GlobalZeroObservable obs(3);
   const NoiseModel noise = make_depolarizing_model(0.01, 0.02);
 
   ASSERT_NE(exec::plan_for(c), nullptr);
-  const double compiled = noisy_expectation(c, params, obs, noise);
-  double reference = 0.0;
-  {
-    exec::ScopedExecutionPlans off(false);
-    reference = noisy_expectation(interpreted, params, obs, noise);
-  }
-  EXPECT_EQ(compiled, reference);
+  EXPECT_EQ(noisy_expectation(c, params, obs, noise),
+            oracle::simulate_noisy(c, params, noise).expectation(obs));
 }
 
-TEST(CompiledCircuit, PartialEvaluatorMatchesFullSimulation) {
+TEST(CompiledCircuit, ZeroShiftMatchesUnshiftedCost) {
   Rng rng(61);
   Circuit c = random_circuit(rng, 3, 25);
   const auto params = rng.uniform_vector(c.num_parameters(), -M_PI, M_PI);
@@ -378,10 +283,14 @@ TEST(CompiledCircuit, PartialEvaluatorMatchesFullSimulation) {
   const auto plan = exec::plan_for(c);
   ASSERT_NE(plan, nullptr);
 
+  const double unshifted = obs.expectation(plan->simulate(params));
   for (std::size_t i = 0; i < c.num_parameters(); ++i) {
-    exec::PartialEvaluator cost(plan, obs, params, i);
     // delta = 0 reproduces the unshifted cost bit-for-bit.
-    EXPECT_EQ(cost(0.0), obs.expectation(plan->simulate(params))) << i;
+    const exec::ShiftSpec spec{i, 0.0};
+    const std::vector<double> v =
+        exec::shifted_expectations(*plan, obs, params, {&spec, 1});
+    ASSERT_EQ(v.size(), 1u);
+    EXPECT_EQ(v[0], unshifted) << i;
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <cmath>
 
+#include "interpreted_oracle.hpp"
 #include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/grad/metric.hpp"
 #include "qbarren/linalg/checks.hpp"
@@ -11,6 +12,24 @@
 
 namespace qbarren {
 namespace {
+
+TEST(DerivativeStates, MatchInterpretedOracleExactly) {
+  // The metric runs on the compiled plan; every derivative state and psi
+  // equal the op-by-op interpreter bit for bit, on every op kind.
+  Rng rng(23);
+  for (int round = 0; round < 3; ++round) {
+    Circuit c = oracle::random_circuit(rng, 3, 30);
+    c.add_controlled_rotation(gates::Axis::kX, 1, 2);
+    const auto params =
+        rng.uniform_vector(c.num_parameters(), -M_PI, M_PI);
+    const auto want = oracle::derivative_states(c, params);
+    const auto got = derivative_states(c, params);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      oracle::expect_states_equal(got[i], want[i]);
+    }
+  }
+}
 
 TEST(DerivativeStates, MatchFiniteDifferencesOfTheState) {
   TrainingAnsatzOptions options;

@@ -290,7 +290,7 @@ TEST(PlanVerify, QP106InfoWhenLoweringIsRefused) {
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_EQ(diags.front().code, "QP106");
   EXPECT_EQ(diags.front().severity, Severity::kInfo);
-  EXPECT_NE(diags.front().message.find("interpreted fallback"),
+  EXPECT_NE(diags.front().message.find("execution refuses it"),
             std::string::npos);
   EXPECT_FALSE(has_errors(diags));
 }

@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <string>
@@ -538,6 +539,94 @@ TEST(ServeServer, DeeplyNestedRequestLineIsRejectedAndServiceKeepsServing) {
       exchange(to_json(small_variance_spec()).dump());
   ASSERT_FALSE(served.empty());
   EXPECT_EQ(served.back().at("event").as_string(), "done");
+
+  ::kill(::getpid(), SIGTERM);  // graceful drain
+  server_thread.join();
+  EXPECT_EQ(server_exit, kExitInterrupted);
+}
+
+TEST(ServeServer, SilentClientDoesNotBlockTheNextClient) {
+  const std::string socket_path =
+      testing::TempDir() + "qbarren-serve-silent.sock";
+  ServerOptions server_options;
+  server_options.socket_path = socket_path;
+  SocketServer server(cli_service_options(), std::move(server_options));
+  int server_exit = -1;
+  std::thread server_thread([&] { server_exit = server.run(); });
+
+  const auto connect_client = [&socket_path]() {
+    sockaddr_un address{};
+    address.sun_family = AF_UNIX;
+    std::memcpy(address.sun_path, socket_path.c_str(),
+                socket_path.size() + 1);
+    for (int tries = 0; tries < 100; ++tries) {
+      const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+      if (fd >= 0 && ::connect(fd, reinterpret_cast<sockaddr*>(&address),
+                               sizeof(address)) == 0) {
+        return fd;
+      }
+      if (fd >= 0) ::close(fd);
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    return -1;
+  };
+  // Every event line until the server closes the connection.
+  const auto read_events = [](int fd) {
+    std::vector<JsonValue> events;
+    std::string current;
+    char ch = 0;
+    while (::read(fd, &ch, 1) == 1) {
+      if (ch != '\n') {
+        current.push_back(ch);
+        continue;
+      }
+      events.push_back(parse_json(current));
+      current.clear();
+    }
+    return events;
+  };
+  const auto exchange = [&](const std::string& line) {
+    const int fd = connect_client();
+    EXPECT_GE(fd, 0);
+    if (fd < 0) return std::vector<JsonValue>{};
+    const std::string framed = line + "\n";
+    std::size_t sent = 0;
+    while (sent < framed.size()) {
+      const ssize_t n =
+          ::write(fd, framed.data() + sent, framed.size() - sent);
+      if (n <= 0) break;
+      sent += static_cast<std::size_t>(n);
+    }
+    std::vector<JsonValue> events = read_events(fd);
+    ::close(fd);
+    return events;
+  };
+
+  // Client A connects and never sends its request line; the service loop
+  // takes it first.
+  const int silent = connect_client();
+  ASSERT_GE(silent, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  // Client B is still served: A is turned away once its read deadline
+  // passes.
+  const std::vector<JsonValue> served =
+      exchange(to_json(small_variance_spec()).dump());
+  ASSERT_FALSE(served.empty());
+  EXPECT_EQ(served.back().at("event").as_string(), "done");
+
+  const std::vector<JsonValue> timed_out = read_events(silent);
+  ::close(silent);
+  ASSERT_EQ(timed_out.size(), 1u);
+  EXPECT_EQ(timed_out[0].at("event").as_string(), "rejected");
+  EXPECT_EQ(timed_out[0].at("reason").as_string(), "request line timeout");
+
+  // An oversized line has its own reason, distinct from a connection
+  // that closes before its newline ("no request line").
+  const std::vector<JsonValue> oversized =
+      exchange(std::string((std::size_t{1} << 20) + 1, 'x'));
+  ASSERT_EQ(oversized.size(), 1u);
+  EXPECT_EQ(oversized[0].at("reason").as_string(), "request line too long");
 
   ::kill(::getpid(), SIGTERM);  // graceful drain
   server_thread.join();
