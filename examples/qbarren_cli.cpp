@@ -323,13 +323,15 @@ VarianceExperimentOptions variance_options_from(const CliArgs& args) {
 
 int cmd_variance(const CliArgs& args) {
   const VarianceExperimentOptions options = variance_options_from(args);
+  // The constructor rejects an unknown engine name before the preflight
+  // prints anything.
+  const VarianceExperiment experiment(options);
   preflight(args, lint_variance_options(options), "variance preflight");
   ResilientRun resilient(args, options_fingerprint(options));
   const auto batch = scoped_batch_limit(args, options.gradient_engine);
   const auto verification = plan_verification(args);
   const VarianceResult result =
-      VarianceExperiment(options).run_paper_set(FanMode::kLayerTensor,
-                                                resilient.control);
+      experiment.run_paper_set(FanMode::kLayerTensor, resilient.control);
   report_plan_verification(verification);
   report_failures(result.failures);
   std::printf("%s\n%s", result.variance_table().to_ascii().c_str(),
@@ -370,13 +372,15 @@ TrainingExperimentOptions training_options_from(const CliArgs& args) {
 
 int cmd_train(const CliArgs& args) {
   const TrainingExperimentOptions options = training_options_from(args);
+  // The constructor rejects unknown engine and optimizer names before the
+  // preflight prints anything.
+  const TrainingExperiment experiment(options);
   preflight(args, lint_training_options(options), "train preflight");
   ResilientRun resilient(args, options_fingerprint(options));
   const auto batch = scoped_batch_limit(args, options.gradient_engine);
   const auto verification = plan_verification(args);
   const TrainingResult result =
-      TrainingExperiment(options).run_paper_set(FanMode::kLayerTensor,
-                                                resilient.control);
+      experiment.run_paper_set(FanMode::kLayerTensor, resilient.control);
   report_plan_verification(verification);
   report_failures(result.failures);
   std::printf("%s\n%s", result.loss_table(5).to_ascii().c_str(),
@@ -394,6 +398,7 @@ int cmd_sweep(const CliArgs& args) {
   options.base = training_options_from(args);
   options.repetitions =
       static_cast<std::size_t>(args.get_int("repetitions", 5));
+  (void)TrainingExperiment(options.base);  // name checks, as in cmd_train
   preflight(args, lint_sweep_options(options), "sweep preflight");
   ResilientRun resilient(args, options_fingerprint(options));
   const auto batch = scoped_batch_limit(args, options.base.gradient_engine);

@@ -87,6 +87,17 @@ struct VarianceExperimentOptions {
     const Initializer& initializer, std::size_t initializer_index,
     const GradientEngine& engine, const CellContext* ctx = nullptr);
 
+/// One attempt at a cell, exactly as VarianceExperiment::run and the serve
+/// worker make it: compute_variance_cell with a fresh
+/// make_gradient_engine(options.gradient_engine) at ctx.attempt 0 and a
+/// ParameterShiftEngine on retries. The engine is never shared between
+/// attempts, so stateful engines (SPSA, the nan-at/crash-at/hang-at fault
+/// injectors) give the same samples in any process and at any job count.
+[[nodiscard]] std::vector<double> run_variance_cell(
+    const VarianceExperimentOptions& options, std::size_t qubit_index,
+    const Initializer& initializer, std::size_t initializer_index,
+    const CellContext& ctx);
+
 /// One (qubit count, initializer) cell of the experiment.
 struct VariancePoint {
   std::size_t qubits = 0;

@@ -1,25 +1,16 @@
 #include "qbarren/bp/training.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <iterator>
 #include <limits>
-#include <mutex>
 
+#include "cell_runner.hpp"
 #include "qbarren/circuit/ansatz.hpp"
-#include "qbarren/common/checkpoint.hpp"
 #include "qbarren/init/registry.hpp"
 #include "qbarren/obs/cost.hpp"
 
 namespace qbarren {
 
 namespace {
-
-std::string hexfloat_string(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
 
 /// Placeholder for a cell that failed within the failure budget: the
 /// initializer keeps its series slot with NaN losses and no history.
@@ -28,29 +19,6 @@ TrainResult failed_train_result() {
   result.initial_loss = std::numeric_limits<double>::quiet_NaN();
   result.final_loss = std::numeric_limits<double>::quiet_NaN();
   return result;
-}
-
-ExecutorOptions executor_options_from(const RunControl& control) {
-  ExecutorOptions options;
-  options.jobs = control.jobs;
-  options.cell_timeout_seconds = control.cell_timeout_seconds;
-  options.max_failures = control.max_cell_failures;
-  options.max_attempts = control.max_cell_attempts;
-  options.cancel = control.cancel;
-  return options;
-}
-
-/// Merges restore-only "not restored" failures into an executor report's
-/// (already sorted) failure list, keeping key order.
-void merge_missing_failures(std::vector<CellFailure>& failures,
-                            std::vector<CellFailure> missing) {
-  if (missing.empty()) return;
-  failures.insert(failures.end(), std::make_move_iterator(missing.begin()),
-                  std::make_move_iterator(missing.end()));
-  std::sort(failures.begin(), failures.end(),
-            [](const CellFailure& a, const CellFailure& b) {
-              return a.cell < b.cell;
-            });
 }
 
 }  // namespace
@@ -141,7 +109,7 @@ std::string options_fingerprint(const TrainingExperimentOptions& options) {
   fp += ";qubits=" + std::to_string(options.qubits);
   fp += ";layers=" + std::to_string(options.layers);
   fp += ";iterations=" + std::to_string(options.iterations);
-  fp += ";lr=" + hexfloat_string(options.learning_rate);
+  fp += ";lr=" + detail::hexfloat_string(options.learning_rate);
   fp += ";optimizer=" + options.optimizer;
   fp += ";engine=" + options.gradient_engine;
   fp += ";cost=" + cost_kind_name(options.cost);
@@ -183,78 +151,29 @@ TrainingResult TrainingExperiment::run(
     QBARREN_REQUIRE(init != nullptr,
                     "TrainingExperiment::run: null initializer");
   }
-  Checkpoint* checkpoint = control.checkpoint;
-  if (checkpoint != nullptr && control.cell_prefix.empty() &&
-      checkpoint->fingerprint() != options_fingerprint(options_)) {
-    throw CheckpointError(
-        "TrainingExperiment::run: checkpoint fingerprint does not match "
-        "this experiment's options");
-  }
-  QBARREN_REQUIRE(!control.restore_only || checkpoint != nullptr,
-                  "TrainingExperiment::run: restore_only needs a checkpoint");
 
   const CostFunction cost = make_training_cost(options_);
 
   TrainingResult result;
   result.options = options_;
   result.series.resize(initializers.size());
+  std::vector<std::string> keys;
   for (std::size_t t = 0; t < initializers.size(); ++t) {
     result.series[t].initializer = initializers[t]->name();
     result.series[t].result = failed_train_result();
+    keys.push_back("init=" + initializers[t]->name());
   }
 
-  const std::size_t total_cells = initializers.size();
-  std::size_t completed_cells = 0;
-  std::mutex deposit_mu;  // guards result/checkpoint/progress deposits
-
-  std::vector<CellTask> tasks;
-  std::vector<CellFailure> missing;
-  for (std::size_t t = 0; t < initializers.size(); ++t) {
-    const std::string key =
-        control.cell_prefix + "init=" + initializers[t]->name();
-    if (checkpoint != nullptr) {
-      if (const CheckpointCell* cell = checkpoint->find_cell(key)) {
-        result.series[t].result = train_result_from_checkpoint_cell(*cell);
-        if (control.progress) {
-          control.progress(
-              RunProgress{key, ++completed_cells, total_cells, true});
-        }
-        continue;
-      }
-    }
-    if (control.restore_only) {
-      missing.push_back(CellFailure{key, CellErrorClass::kCancelled,
-                                    "cell not restored (restore-only "
-                                    "assembly)",
-                                    0});
-      continue;
-    }
-
-    tasks.push_back(CellTask{
-        key, [this, &control, &cost, &result, &deposit_mu, &completed_cells,
-              total_cells, checkpoint, initializer = initializers[t], t,
-              key](CellContext& ctx) {
-          ctx.throw_if_cancelled("training experiment at " + key);
-          TrainResult trained =
-              run_training_cell(options_, cost, *initializer, t, ctx);
-
-          std::lock_guard<std::mutex> lock(deposit_mu);
-          if (checkpoint != nullptr) {
-            checkpoint->record_cell(key,
-                                    checkpoint_cell_from_train_result(trained));
-          }
-          result.series[t].result = std::move(trained);
-          if (control.progress) {
-            control.progress(
-                RunProgress{key, ++completed_cells, total_cells, false});
-          }
-        }});
-  }
-
-  const Executor executor(executor_options_from(control));
-  ExecutorReport report = executor.run(std::move(tasks));
-  result.failures = std::move(report.failures);
-  merge_missing_failures(result.failures, std::move(missing));
+  result.failures = detail::run_cells(
+      "TrainingExperiment::run", options_fingerprint(options_), keys,
+      [&](std::size_t t, const CellContext& ctx) {
+        return checkpoint_cell_from_train_result(
+            run_training_cell(options_, cost, *initializers[t], t, ctx));
+      },
+      [&](std::size_t t, const CheckpointCell& cell) {
+        result.series[t].result = train_result_from_checkpoint_cell(cell);
+      },
+      control);
   return result;
 }
 
@@ -343,14 +262,6 @@ TrainingSweepResult run_training_sweep(
                   "run_training_sweep: need >= 2 repetitions for spread");
   QBARREN_REQUIRE(!initializers.empty(),
                   "run_training_sweep: no initializers");
-  if (control.checkpoint != nullptr && control.cell_prefix.empty() &&
-      control.checkpoint->fingerprint() != options_fingerprint(options)) {
-    throw CheckpointError(
-        "run_training_sweep: checkpoint fingerprint does not match this "
-        "sweep's options");
-  }
-  QBARREN_REQUIRE(!control.restore_only || control.checkpoint != nullptr,
-                  "run_training_sweep: restore_only needs a checkpoint");
 
   // Validate the base options once (throws exactly what per-repetition
   // construction used to).
@@ -369,68 +280,32 @@ TrainingSweepResult run_training_sweep(
         options.repetitions, std::numeric_limits<double>::quiet_NaN());
   }
 
-  const std::size_t total_cells = options.repetitions * initializers.size();
-  std::size_t completed_cells = 0;
-  std::mutex deposit_mu;
-
-  // The whole (repetition x initializer) grid becomes one task list, so
+  // The whole (repetition x initializer) grid is one cell list, so
   // parallelism spans repetitions, not just initializers. Cells are
   // namespaced per repetition ("rep=<r>/init=<name>"), matching the keys
   // the serial per-repetition runner wrote.
-  std::vector<CellTask> tasks;
-  std::vector<CellFailure> missing;
+  const std::size_t inits = initializers.size();
+  std::vector<TrainingExperimentOptions> rep_options(options.repetitions,
+                                                     options.base);
+  std::vector<std::string> keys;
   for (std::size_t rep = 0; rep < options.repetitions; ++rep) {
-    TrainingExperimentOptions rep_options = options.base;
-    rep_options.seed = splitmix64(options.base.seed ^ (rep + 1));
-    for (std::size_t t = 0; t < initializers.size(); ++t) {
-      const std::string key = control.cell_prefix + "rep=" +
-                              std::to_string(rep) +
-                              "/init=" + initializers[t]->name();
-      if (control.checkpoint != nullptr) {
-        if (const CheckpointCell* cell = control.checkpoint->find_cell(key)) {
-          result.series[t].final_losses[rep] =
-              train_result_from_checkpoint_cell(*cell).final_loss;
-          if (control.progress) {
-            control.progress(
-                RunProgress{key, ++completed_cells, total_cells, true});
-          }
-          continue;
-        }
-      }
-      if (control.restore_only) {
-        missing.push_back(CellFailure{key, CellErrorClass::kCancelled,
-                                      "cell not restored (restore-only "
-                                      "assembly)",
-                                      0});
-        continue;
-      }
-
-      tasks.push_back(CellTask{
-          key, [&control, &cost, &result, &deposit_mu, &completed_cells,
-                total_cells, rep_options, initializer = initializers[t], rep,
-                t, key](CellContext& ctx) {
-            ctx.throw_if_cancelled("training sweep at " + key);
-            const TrainResult trained =
-                run_training_cell(rep_options, cost, *initializer, t, ctx);
-
-            std::lock_guard<std::mutex> lock(deposit_mu);
-            if (control.checkpoint != nullptr) {
-              control.checkpoint->record_cell(
-                  key, checkpoint_cell_from_train_result(trained));
-            }
-            result.series[t].final_losses[rep] = trained.final_loss;
-            if (control.progress) {
-              control.progress(
-                  RunProgress{key, ++completed_cells, total_cells, false});
-            }
-          }});
+    rep_options[rep].seed = splitmix64(options.base.seed ^ (rep + 1));
+    for (const Initializer* init : initializers) {
+      keys.push_back("rep=" + std::to_string(rep) + "/init=" + init->name());
     }
   }
-
-  const Executor executor(executor_options_from(control));
-  ExecutorReport report = executor.run(std::move(tasks));
-  result.failures = std::move(report.failures);
-  merge_missing_failures(result.failures, std::move(missing));
+  result.failures = detail::run_cells(
+      "run_training_sweep", options_fingerprint(options), keys,
+      [&](std::size_t c, const CellContext& ctx) {
+        return checkpoint_cell_from_train_result(
+            run_training_cell(rep_options[c / inits], cost,
+                              *initializers[c % inits], c % inits, ctx));
+      },
+      [&](std::size_t c, const CheckpointCell& cell) {
+        result.series[c % inits].final_losses[c / inits] =
+            train_result_from_checkpoint_cell(cell).final_loss;
+      },
+      control);
 
   for (TrainingSweepSeries& s : result.series) {
     s.final_loss_summary = summarize(s.final_losses);

@@ -2,50 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <iterator>
 #include <limits>
-#include <mutex>
+#include <memory>
 
+#include "cell_runner.hpp"
 #include "qbarren/circuit/ansatz.hpp"
-#include "qbarren/common/checkpoint.hpp"
 #include "qbarren/grad/engine.hpp"
 #include "qbarren/init/registry.hpp"
 
 namespace qbarren {
 
 namespace {
-
-std::string hexfloat_string(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%a", v);  // exact, locale-independent
-  return buf;
-}
-
-std::string variance_cell_key(const RunControl& control, std::size_t qubits,
-                              const std::string& initializer) {
-  return control.cell_prefix + "q=" + std::to_string(qubits) +
-         "/init=" + initializer;
-}
-
-void report_cell(const RunControl& control, std::string cell,
-                 std::size_t completed, std::size_t total,
-                 bool from_checkpoint) {
-  if (control.progress) {
-    control.progress(
-        RunProgress{std::move(cell), completed, total, from_checkpoint});
-  }
-}
-
-ExecutorOptions executor_options_from(const RunControl& control) {
-  ExecutorOptions options;
-  options.jobs = control.jobs;
-  options.cell_timeout_seconds = control.cell_timeout_seconds;
-  options.max_failures = control.max_cell_failures;
-  options.max_attempts = control.max_cell_attempts;
-  options.cancel = control.cancel;
-  return options;
-}
 
 /// NaN-filled summary for a failed cell: serializes as null everywhere
 /// instead of misleading zeros.
@@ -54,6 +21,19 @@ Summary nan_summary() {
   Summary s;
   s.mean = s.variance = s.stddev = s.min = s.max = s.median = nan;
   return s;
+}
+
+/// The Eq-2 circuit drawn from one circuit stream. Its structure depends
+/// on (q, circuit) only, so every initializer samples the same circuits.
+Circuit sampled_circuit(const VarianceExperimentOptions& options,
+                        std::size_t q, const Rng& circuit_stream) {
+  Rng structure_rng = circuit_stream.child(0);
+  VarianceAnsatzOptions ansatz_options;
+  ansatz_options.layers = options.layers;
+  ansatz_options.entangle = options.entangle;
+  ansatz_options.entangler = options.entangler;
+  ansatz_options.topology = options.topology;
+  return variance_ansatz(q, structure_rng, ansatz_options);
 }
 
 }  // namespace
@@ -95,13 +75,7 @@ std::vector<double> compute_variance_cell(
           " circuit=" + std::to_string(i));
     }
     const Rng circuit_stream = q_stream.child(2 * i);
-    Rng structure_rng = circuit_stream.child(0);
-    VarianceAnsatzOptions ansatz_options;
-    ansatz_options.layers = options.layers;
-    ansatz_options.entangle = options.entangle;
-    ansatz_options.entangler = options.entangler;
-    ansatz_options.topology = options.topology;
-    const Circuit circuit = variance_ansatz(q, structure_rng, ansatz_options);
+    const Circuit circuit = sampled_circuit(options, q, circuit_stream);
     std::size_t which = circuit.num_parameters() - 1;
     switch (options.which_parameter) {
       case GradientParameter::kLast:
@@ -135,6 +109,20 @@ std::vector<double> compute_variance_cell(
   return samples;
 }
 
+std::vector<double> run_variance_cell(const VarianceExperimentOptions& options,
+                                      std::size_t qubit_index,
+                                      const Initializer& initializer,
+                                      std::size_t initializer_index,
+                                      const CellContext& ctx) {
+  const auto engine =
+      ctx.attempt == 0
+          ? make_gradient_engine(options.gradient_engine)
+          : std::unique_ptr<GradientEngine>(
+                std::make_unique<ParameterShiftEngine>());
+  return compute_variance_cell(options, qubit_index, initializer,
+                               initializer_index, *engine, &ctx);
+}
+
 VarianceExperiment::VarianceExperiment(VarianceExperimentOptions options)
     : options_(std::move(options)) {
   QBARREN_REQUIRE(!options_.qubit_counts.empty(),
@@ -166,15 +154,6 @@ VarianceResult VarianceExperiment::run(
     QBARREN_REQUIRE(init != nullptr,
                     "VarianceExperiment::run: null initializer");
   }
-  Checkpoint* checkpoint = control.checkpoint;
-  if (checkpoint != nullptr && control.cell_prefix.empty() &&
-      checkpoint->fingerprint() != options_fingerprint(options_)) {
-    throw CheckpointError(
-        "VarianceExperiment::run: checkpoint fingerprint does not match "
-        "this experiment's options");
-  }
-  QBARREN_REQUIRE(!control.restore_only || checkpoint != nullptr,
-                  "VarianceExperiment::run: restore_only needs a checkpoint");
 
   VarianceResult result;
   result.options = options_;
@@ -192,97 +171,44 @@ VarianceResult VarianceExperiment::run(
     }
   }
 
-  const std::size_t total_cells =
-      options_.qubit_counts.size() * initializers.size();
-  std::size_t completed_cells = 0;
-  std::mutex deposit_mu;  // guards result/checkpoint/progress deposits
-
-  const auto deposit = [&](std::size_t qi, std::size_t t,
-                           const std::vector<double>& samples) {
-    VariancePoint& point = result.series[t].points[qi];
-    point.gradient_summary = summarize(samples);
-    point.variance = point.gradient_summary.variance;
-    if (options_.keep_samples) {
-      point.samples = samples;
+  // One cell per (q, initializer), keyed "q=<q>/init=<name>". Circuit
+  // structure streams depend on (q, i) only so every initializer sees the
+  // same random circuits per qubit count; parameter streams additionally
+  // depend on the initializer index. A cell's samples therefore do not
+  // depend on which other cells were computed in this process.
+  const std::size_t inits = initializers.size();
+  std::vector<std::string> keys;
+  for (const std::size_t q : options_.qubit_counts) {
+    for (const Initializer* init : initializers) {
+      keys.push_back("q=" + std::to_string(q) + "/init=" + init->name());
     }
-  };
-
-  // Sample gradients. Circuit structure streams depend on (q, i) only so
-  // every initializer sees the same 200 random circuits per qubit count;
-  // parameter streams additionally depend on the initializer index. Each
-  // (q, initializer) cell's samples therefore do not depend on which other
-  // cells were computed in this process — restoring some cells from a
-  // checkpoint, or computing cells concurrently in any order, reproduces
-  // a serial uninterrupted run bit-for-bit.
-  std::vector<CellTask> tasks;
-  std::vector<CellFailure> missing;  // restore-only cells not in the store
-  for (std::size_t qi = 0; qi < options_.qubit_counts.size(); ++qi) {
-    const std::size_t q = options_.qubit_counts[qi];
-    for (std::size_t t = 0; t < initializers.size(); ++t) {
-      const std::string key =
-          variance_cell_key(control, q, initializers[t]->name());
-      if (checkpoint != nullptr) {
-        if (const CheckpointCell* cell = checkpoint->find_cell(key)) {
-          const std::vector<double>& stored = cell->vector("samples");
-          if (stored.size() != options_.circuits_per_point) {
-            throw CheckpointError(
-                "VarianceExperiment::run: checkpoint cell for q=" +
-                std::to_string(q) + " has " +
-                std::to_string(stored.size()) + " samples, expected " +
-                std::to_string(options_.circuits_per_point));
-          }
-          deposit(qi, t, stored);
-          report_cell(control, key, ++completed_cells, total_cells, true);
-          continue;
+  }
+  result.failures = detail::run_cells(
+      "VarianceExperiment::run", options_fingerprint(options_), keys,
+      [&](std::size_t c, const CellContext& ctx) {
+        CheckpointCell cell;
+        cell.vectors["samples"] =
+            run_variance_cell(options_, c / inits, *initializers[c % inits],
+                              c % inits, ctx);
+        return cell;
+      },
+      [&](std::size_t c, const CheckpointCell& cell) {
+        VariancePoint& point = result.series[c % inits].points[c / inits];
+        const std::vector<double>& samples = cell.vector("samples");
+        if (samples.size() != options_.circuits_per_point) {
+          throw CheckpointError(
+              "VarianceExperiment::run: checkpoint cell for q=" +
+              std::to_string(point.qubits) + " has " +
+              std::to_string(samples.size()) + " samples, expected " +
+              std::to_string(options_.circuits_per_point));
         }
-      }
-      if (control.restore_only) {
-        missing.push_back(CellFailure{key, CellErrorClass::kCancelled,
-                                      "cell not restored (restore-only "
-                                      "assembly)",
-                                      0});
-        continue;
-      }
-
-      tasks.push_back(CellTask{
-          key, [this, &control, &deposit, &deposit_mu, &completed_cells,
-                total_cells, checkpoint, initializer = initializers[t],
-                qi, t, key](CellContext& ctx) {
-            // Retries recompute the whole cell with the parameter-shift
-            // fallback engine — fresh instance per attempt, so stateful
-            // engines (fault injection, SPSA) stay cell-deterministic.
-            const auto cell_engine =
-                ctx.attempt == 0
-                    ? make_gradient_engine(options_.gradient_engine)
-                    : std::unique_ptr<GradientEngine>(
-                          std::make_unique<ParameterShiftEngine>());
-            const std::vector<double> samples = compute_variance_cell(
-                options_, qi, *initializer, t, *cell_engine, &ctx);
-
-            std::lock_guard<std::mutex> lock(deposit_mu);
-            if (checkpoint != nullptr) {
-              CheckpointCell cell;
-              cell.vectors["samples"] = samples;
-              checkpoint->record_cell(key, std::move(cell));
-            }
-            deposit(qi, t, samples);
-            report_cell(control, key, ++completed_cells, total_cells, false);
-          }});
-    }
-  }
-
-  const Executor executor(executor_options_from(control));
-  ExecutorReport report = executor.run(std::move(tasks));
-  result.failures = std::move(report.failures);
-  if (!missing.empty()) {
-    result.failures.insert(result.failures.end(),
-                           std::make_move_iterator(missing.begin()),
-                           std::make_move_iterator(missing.end()));
-    std::sort(result.failures.begin(), result.failures.end(),
-              [](const CellFailure& a, const CellFailure& b) {
-                return a.cell < b.cell;
-              });
-  }
+        point.gradient_summary = summarize(samples);
+        point.variance = point.gradient_summary.variance;
+        if (options_.keep_samples) {
+          point.samples = samples;
+        }
+      },
+      control);
 
   // Decay fits: ln Var vs qubit count over the positive-variance points.
   for (VarianceSeries& s : result.series) {
@@ -324,7 +250,7 @@ std::string positional_fingerprint(const VarianceExperimentOptions& options,
   std::string fp = "positional/v1;init=" + initializer.name() + ";fractions=";
   for (std::size_t f = 0; f < fractions.size(); ++f) {
     if (f != 0) fp += ',';
-    fp += hexfloat_string(fractions[f]);
+    fp += detail::hexfloat_string(fractions[f]);
   }
   return fp + ";" + options_fingerprint(options);
 }
@@ -358,16 +284,8 @@ PositionalVarianceResult positional_variance(
   }
   const VarianceExperiment checked(options);  // validates the options
   (void)checked;
-  Checkpoint* checkpoint = control.checkpoint;
-  if (checkpoint != nullptr && control.cell_prefix.empty() &&
-      checkpoint->fingerprint() !=
-          positional_fingerprint(options, initializer, fractions)) {
-    throw CheckpointError(
-        "positional_variance: checkpoint fingerprint does not match this "
-        "run's options");
-  }
-
-  const Rng root(options.seed);
+  const std::string fingerprint =
+      positional_fingerprint(options, initializer, fractions);
 
   PositionalVarianceResult result;
   result.fractions = std::move(fractions);
@@ -376,97 +294,65 @@ PositionalVarianceResult positional_variance(
       result.fractions.size(),
       std::vector<double>(options.qubit_counts.size(),
                           std::numeric_limits<double>::quiet_NaN()));
+  const std::size_t n_fractions = result.fractions.size();
 
-  const std::size_t total_cells = options.qubit_counts.size();
-  std::size_t completed_cells = 0;
-  std::mutex deposit_mu;
+  // One checkpoint cell per qubit count ("q=<q>") holding every fraction's
+  // samples ("f0", "f1", ...); the qubit counts are independent
+  // sub-streams of the root seed, so per-cell resume — and concurrent
+  // execution in any order — is exact.
+  std::vector<std::string> keys;
+  for (const std::size_t q : options.qubit_counts) {
+    keys.push_back("q=" + std::to_string(q));
+  }
+  result.failures = detail::run_cells(
+      "positional_variance", fingerprint, keys,
+      [&](std::size_t qi, const CellContext& ctx) {
+        const std::size_t q = options.qubit_counts[qi];
+        const AdjointEngine engine;
+        const auto observable = make_cost_observable(options.cost, q);
+        const Rng q_stream = Rng(options.seed).child(qi);
+        std::vector<std::vector<double>> samples(
+            n_fractions, std::vector<double>(options.circuits_per_point));
+        for (std::size_t i = 0; i < options.circuits_per_point; ++i) {
+          ctx.throw_if_cancelled(
+              "positional variance at qubits=" + std::to_string(q) +
+              " circuit=" + std::to_string(i));
+          const Rng circuit_stream = q_stream.child(2 * i);
+          const Circuit circuit = sampled_circuit(options, q, circuit_stream);
+          Rng param_rng = circuit_stream.child(1);
+          const auto params = initializer.initialize(circuit, param_rng);
+          const auto grad = engine.gradient(circuit, *observable, params);
 
-  // One checkpoint cell per qubit count holding every fraction's samples
-  // ("f0", "f1", ...); the qubit counts are independent sub-streams of the
-  // root seed, so per-cell resume — and concurrent execution in any
-  // order — is exact.
-  std::vector<CellTask> tasks;
-  for (std::size_t qi = 0; qi < options.qubit_counts.size(); ++qi) {
-    const std::size_t q = options.qubit_counts[qi];
-    const std::string key =
-        control.cell_prefix + "q=" + std::to_string(q);
-
-    if (checkpoint != nullptr) {
-      if (const CheckpointCell* cell = checkpoint->find_cell(key)) {
-        for (std::size_t f = 0; f < result.fractions.size(); ++f) {
-          const std::vector<double>& stored =
-              cell->vector(fraction_key(f));
+          const std::size_t last = circuit.num_parameters() - 1;
+          for (std::size_t f = 0; f < n_fractions; ++f) {
+            const auto k = static_cast<std::size_t>(std::llround(
+                result.fractions[f] * static_cast<double>(last)));
+            if (!std::isfinite(grad[k])) {
+              throw NumericalError(
+                  "positional_variance: non-finite gradient sample at "
+                  "qubits=" + std::to_string(q) +
+                  " circuit=" + std::to_string(i));
+            }
+            samples[f][i] = grad[k];
+          }
+        }
+        CheckpointCell cell;
+        for (std::size_t f = 0; f < n_fractions; ++f) {
+          cell.vectors[fraction_key(f)] = std::move(samples[f]);
+        }
+        return cell;
+      },
+      [&](std::size_t qi, const CheckpointCell& cell) {
+        for (std::size_t f = 0; f < n_fractions; ++f) {
+          const std::vector<double>& stored = cell.vector(fraction_key(f));
           if (stored.size() != options.circuits_per_point) {
-            throw CheckpointError(
-                "positional_variance: checkpoint cell " + key +
-                " has the wrong sample count");
+            throw CheckpointError("positional_variance: checkpoint cell " +
+                                  keys[qi] + " has the wrong sample count");
           }
           result.variances[f][qi] = sample_variance(stored);
         }
-        report_cell(control, key, ++completed_cells, total_cells, true);
-        continue;
-      }
-    }
-
-    tasks.push_back(CellTask{
-        key, [&options, &control, &initializer, &result, &deposit_mu,
-              &completed_cells, total_cells, checkpoint, root, qi, q,
-              key](CellContext& ctx) {
-          const AdjointEngine engine;
-          const auto observable = make_cost_observable(options.cost, q);
-          const Rng q_stream = root.child(qi);
-          std::vector<std::vector<double>> samples(
-              result.fractions.size(),
-              std::vector<double>(options.circuits_per_point));
-          for (std::size_t i = 0; i < options.circuits_per_point; ++i) {
-            ctx.throw_if_cancelled(
-                "positional variance at qubits=" + std::to_string(q) +
-                " circuit=" + std::to_string(i));
-            const Rng circuit_stream = q_stream.child(2 * i);
-            Rng structure_rng = circuit_stream.child(0);
-            VarianceAnsatzOptions ansatz_options;
-            ansatz_options.layers = options.layers;
-            ansatz_options.entangle = options.entangle;
-            ansatz_options.entangler = options.entangler;
-            ansatz_options.topology = options.topology;
-            const Circuit circuit =
-                variance_ansatz(q, structure_rng, ansatz_options);
-            Rng param_rng = circuit_stream.child(1);
-            const auto params = initializer.initialize(circuit, param_rng);
-            const auto grad = engine.gradient(circuit, *observable, params);
-
-            const std::size_t last = circuit.num_parameters() - 1;
-            for (std::size_t f = 0; f < result.fractions.size(); ++f) {
-              const auto k = static_cast<std::size_t>(std::llround(
-                  result.fractions[f] * static_cast<double>(last)));
-              if (!std::isfinite(grad[k])) {
-                throw NumericalError(
-                    "positional_variance: non-finite gradient sample at "
-                    "qubits=" + std::to_string(q) +
-                    " circuit=" + std::to_string(i));
-              }
-              samples[f][i] = grad[k];
-            }
-          }
-
-          std::lock_guard<std::mutex> lock(deposit_mu);
-          if (checkpoint != nullptr) {
-            CheckpointCell cell;
-            for (std::size_t f = 0; f < result.fractions.size(); ++f) {
-              cell.vectors[fraction_key(f)] = samples[f];
-            }
-            checkpoint->record_cell(key, std::move(cell));
-          }
-          for (std::size_t f = 0; f < result.fractions.size(); ++f) {
-            result.variances[f][qi] = sample_variance(samples[f]);
-          }
-          report_cell(control, key, ++completed_cells, total_cells, false);
-        }});
-  }
-
-  const Executor executor(executor_options_from(control));
-  ExecutorReport report = executor.run(std::move(tasks));
-  result.failures = std::move(report.failures);
+      },
+      control);
   return result;
 }
 

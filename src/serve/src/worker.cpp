@@ -4,7 +4,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,7 +13,6 @@
 #include "qbarren/common/checkpoint.hpp"
 #include "qbarren/common/error.hpp"
 #include "qbarren/common/executor.hpp"
-#include "qbarren/grad/engine.hpp"
 #include "qbarren/init/registry.hpp"
 #include "qbarren/serve/protocol.hpp"
 
@@ -22,62 +20,40 @@ namespace qbarren::serve {
 
 namespace {
 
-/// Per-process worker state: engines are cached by name so stateful
-/// decorators (the fault injectors' call counters) span jobs, exactly as
-/// they do inside one in-process run — a crash-at:<k> engine crashes this
-/// worker once per process lifetime, and the retried cell completes on a
-/// fresh worker whose counter restarts.
-struct WorkerState {
-  std::vector<std::unique_ptr<Initializer>> initializers =
-      paper_initializers(FanMode::kLayerTensor);
-  std::map<std::string, std::unique_ptr<GradientEngine>> engines;
-
-  GradientEngine& engine_for(const std::string& name) {
-    auto it = engines.find(name);
-    if (it == engines.end()) {
-      it = engines.emplace(name, make_gradient_engine(name)).first;
-    }
-    return *it->second;
+/// Computes one cell exactly as the in-process runner would: the same
+/// initializer set, the same RNG child streams (the indices ride in the
+/// job) and the same cell function, which builds a fresh gradient engine
+/// for this attempt. Nothing carries over between jobs, so the fault
+/// injectors count calls per cell attempt here as they do in-process. The
+/// returned cell is what the runner would have deposited into its
+/// checkpoint.
+CheckpointCell compute_cell(const WorkerJob& job,
+                            const std::vector<std::unique_ptr<Initializer>>&
+                                initializers) {
+  if (job.cell.initializer_index >= initializers.size()) {
+    throw InvalidArgument("worker: initializer_index out of range");
   }
-
-  /// Computes one cell exactly as the in-process runner would: same
-  /// initializer set, same engine-selection-by-attempt rule, same RNG
-  /// child streams (the indices ride in the job). The returned cell is
-  /// what the runner would have deposited into its checkpoint.
-  CheckpointCell compute_cell(const WorkerJob& job) {
-    if (job.cell.initializer_index >= initializers.size()) {
-      throw InvalidArgument("worker: initializer_index out of range");
+  const Initializer& initializer = *initializers[job.cell.initializer_index];
+  CellContext ctx;
+  ctx.attempt = job.engine_attempt;
+  switch (job.kind) {
+    case SpecKind::kVariance: {
+      CheckpointCell cell;
+      cell.vectors["samples"] = run_variance_cell(
+          variance_options_from_json(job.options), job.cell.qubit_index,
+          initializer, job.cell.initializer_index, ctx);
+      return cell;
     }
-    const Initializer& initializer = *initializers[job.cell.initializer_index];
-    CheckpointCell cell;
-    switch (job.kind) {
-      case SpecKind::kVariance: {
-        const VarianceExperimentOptions options =
-            variance_options_from_json(job.options);
-        // Attempt > 0 retries with the parameter-shift reference engine —
-        // the same fallback the in-process executor path uses.
-        GradientEngine& engine =
-            engine_for(job.engine_attempt == 0 ? options.gradient_engine
-                                               : "parameter-shift");
-        cell.vectors["samples"] = compute_variance_cell(
-            options, job.cell.qubit_index, initializer,
-            job.cell.initializer_index, engine);
-        break;
-      }
-      case SpecKind::kTraining: {
-        const TrainingExperimentOptions options =
-            training_options_from_json(job.options);
-        const CostFunction cost = make_training_cost(options);
-        CellContext ctx;
-        ctx.attempt = job.engine_attempt;
-        cell = checkpoint_cell_from_train_result(run_training_cell(
-            options, cost, initializer, job.cell.initializer_index, ctx));
-        break;
-      }
+    case SpecKind::kTraining: {
+      const TrainingExperimentOptions options =
+          training_options_from_json(job.options);
+      return checkpoint_cell_from_train_result(run_training_cell(
+          options, make_training_cost(options), initializer,
+          job.cell.initializer_index, ctx));
     }
-    return cell;
   }
-};
+  throw InvalidArgument("worker: unknown spec kind");
+}
 
 /// Writes one reply line and flushes — the service reads line-at-a-time
 /// and must see kStart before the cell computation begins.
@@ -94,7 +70,7 @@ int worker_main(int in_fd, int out_fd) {
   std::FILE* out = fdopen(out_fd, "w");
   if (in == nullptr || out == nullptr) return 1;
 
-  WorkerState state;
+  const auto initializers = paper_initializers(FanMode::kLayerTensor);
   char* line = nullptr;
   std::size_t capacity = 0;
   int exit_code = 0;
@@ -123,7 +99,7 @@ int worker_main(int in_fd, int out_fd) {
     done.cell_key = job.cell.key;
     try {
       done.type = WorkerReply::Type::kOk;
-      done.payload = serialize_cell_payload(state.compute_cell(job));
+      done.payload = serialize_cell_payload(compute_cell(job, initializers));
     } catch (const NumericalError& e) {
       done.type = WorkerReply::Type::kFail;
       done.error = cell_error_class_name(CellErrorClass::kNonFinite);

@@ -8,9 +8,9 @@
 // attached plan, so the oracle gives the interpreted answer whether or not
 // the circuit has been lowered.
 //
-// Covered: the state walk, the shift rules (two-term, four-term for
-// controlled rotations, central finite differences), the adjoint sweep,
-// the QNG metric's derivative states,
+// Covered: the state walk (from |0...0> or any start state), the shift
+// rules (two-term, four-term for controlled rotations, central finite
+// differences), the adjoint sweep, the QNG metric's derivative states,
 // SPSA's +/- pair, and the noisy density-matrix walk. Also here: the
 // random circuit generator shared by the exec and batched tests.
 #pragma once
@@ -32,14 +32,20 @@
 
 namespace qbarren::oracle {
 
-/// |0...0> through every op of `circuit`, one apply_operation at a time.
+/// `state` through every op of `circuit`, one apply_operation at a time.
 inline StateVector simulate(const Circuit& circuit,
-                            std::span<const double> params) {
-  StateVector state(circuit.num_qubits());
+                            std::span<const double> params,
+                            StateVector state) {
   for (std::size_t i = 0; i < circuit.operations().size(); ++i) {
     circuit.apply_operation(i, state, params);
   }
   return state;
+}
+
+/// |0...0> through every op of `circuit`.
+inline StateVector simulate(const Circuit& circuit,
+                            std::span<const double> params) {
+  return simulate(circuit, params, StateVector(circuit.num_qubits()));
 }
 
 /// Cost at `params` with params[index] shifted by `delta`.

@@ -567,6 +567,58 @@ TEST(ResumePositionalVariance, InterruptedRunMatchesReference) {
   }
 }
 
+TEST(ResumePositionalVariance, RestoreOnlyRestoresPresentCellsAndComputesNone) {
+  VarianceExperimentOptions options = small_variance_options();
+  options.qubit_counts = {2, 3, 4};
+  const auto init = make_initializer("xavier-normal");
+  const std::vector<double> fractions = {0.0, 0.5, 1.0};
+  const std::string fingerprint =
+      positional_fingerprint(options, *init, fractions);
+
+  Checkpoint full{std::string(), fingerprint};
+  RunControl fill;
+  fill.checkpoint = &full;
+  const PositionalVarianceResult reference =
+      positional_variance(options, *init, fractions, fill);
+
+  // Half-filled store: only the q=3 cell is present.
+  Checkpoint half{std::string(), fingerprint};
+  half.put_cell("q=3", *full.find_cell("q=3"));
+  RunControl control;
+  control.checkpoint = &half;
+  control.restore_only = true;
+  std::size_t computed = 0;
+  control.progress = [&computed](const RunProgress& p) {
+    if (!p.from_checkpoint) ++computed;
+  };
+  const PositionalVarianceResult result =
+      positional_variance(options, *init, fractions, control);
+
+  EXPECT_EQ(computed, 0u);
+  EXPECT_EQ(half.cell_count(), 1u);  // nothing was computed and recorded
+  ASSERT_EQ(result.failures.size(), 2u);
+  EXPECT_EQ(result.failures[0].cell, "q=2");
+  EXPECT_EQ(result.failures[1].cell, "q=4");
+  for (const CellFailure& failure : result.failures) {
+    EXPECT_EQ(failure.error, CellErrorClass::kCancelled);
+    EXPECT_NE(failure.message.find("not restored"), std::string::npos);
+  }
+  for (std::size_t f = 0; f < fractions.size(); ++f) {
+    EXPECT_TRUE(std::isnan(result.variances[f][0]));
+    EXPECT_EQ(result.variances[f][1], reference.variances[f][1]);  // exact
+    EXPECT_TRUE(std::isnan(result.variances[f][2]));
+  }
+}
+
+TEST(ResumePositionalVariance, RestoreOnlyWithoutCheckpointThrows) {
+  const auto init = make_initializer("xavier-normal");
+  RunControl control;
+  control.restore_only = true;
+  EXPECT_THROW((void)positional_variance(small_variance_options(), *init,
+                                         {0.0, 1.0}, control),
+               InvalidArgument);
+}
+
 // --- parallel execution ------------------------------------------------------
 
 TEST(ParallelVariance, JobCountNeverChangesTheBytes) {

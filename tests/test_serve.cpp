@@ -257,6 +257,32 @@ TEST(ServeService, ByteIdenticalAtAnyShardCount) {
   }
 }
 
+TEST(ServeService, StatefulEngineMatchesInProcessAtAnyWorkerCount) {
+  // SPSA draws its perturbations from engine state, so a worker that kept
+  // one engine across jobs would hand each later cell a different stream
+  // than the in-process runner's fresh engine per cell attempt.
+  RequestSpec spec = small_variance_spec();
+  spec.variance.qubit_counts = {2, 4};
+  spec.variance.circuits_per_point = 8;
+  spec.variance.layers = 4;
+  spec.variance.seed = 7;
+  spec.variance.gradient_engine = "spsa";
+  const std::string in_process =
+      to_json(VarianceExperiment(spec.variance)
+                  .run_paper_set(FanMode::kLayerTensor))
+          .at("series")
+          .dump();
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    ServiceOptions options = cli_service_options();
+    options.workers = workers;
+    ExperimentService service(std::move(options));
+    const RequestOutcome outcome = service.run_request(spec);
+    ASSERT_EQ(outcome.status, RequestOutcome::Status::kOk);
+    EXPECT_EQ(outcome.result.at("series").dump(), in_process)
+        << "diverged at " << workers << " workers";
+  }
+}
+
 TEST(ServeService, TrainingRequestMatchesSerialRun) {
   const RequestSpec spec = small_training_spec();
   ExperimentService service(cli_service_options());
@@ -407,9 +433,9 @@ TEST(ServeService, WatchdogKillsHungWorker) {
   ExperimentService service(std::move(options));
 
   const RequestOutcome outcome = service.run_request(spec);
-  // Every worker hangs on its first cell (the cached fault engine fires
-  // once per process), the watchdog SIGKILLs it, and the cell is recorded
-  // with the `killed` taxonomy kind.
+  // Every cell attempt builds a fresh fault engine whose first call hangs,
+  // so each dispatch hangs its worker, the watchdog SIGKILLs it, and with
+  // no crash retries the cell is recorded with the `killed` taxonomy kind.
   EXPECT_EQ(outcome.status, RequestOutcome::Status::kOk);
   ASSERT_FALSE(outcome.failures.empty());
   for (const CellFailure& failure : outcome.failures) {
