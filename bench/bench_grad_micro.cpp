@@ -4,6 +4,7 @@
 // training experiments default to adjoint while the variance analysis
 // (one partial derivative per circuit) uses parameter-shift like the
 // paper.
+#include <algorithm>
 #include <chrono>
 #include <vector>
 
@@ -159,6 +160,60 @@ void bm_batched_parameter_shift(benchmark::State& state) {
 BENCHMARK(bm_batched_parameter_shift)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
+
+// --- adjoint pass vs forward pass ---------------------------------------------
+//
+// The training experiments' unit of work is one adjoint value-and-gradient
+// on the Eq 3 ansatz (q=10, L=5, global cost). This bench times it against
+// one plan->simulate of the same plan, alternating the two in each
+// repeat, and reports adjoint_speed_ratio = simulate time / adjoint time,
+// the median over the repeats. Both sides run in the same process on the
+// same kernels, so the ratio transfers across machines; CI's bench-smoke
+// step gates on it (a slower sweep lowers it).
+
+void bm_adjoint_speed_ratio(benchmark::State& state) {
+  const Setup setup(10, 5);
+  const auto plan = exec::plan_for(setup.circuit);
+  std::vector<double> gradient(setup.params.size());
+  const auto simulate = [&] {
+    benchmark::DoNotOptimize(plan->simulate(setup.params).amplitudes().data());
+  };
+  const auto adjoint = [&] {
+    std::fill(gradient.begin(), gradient.end(), 0.0);
+    benchmark::DoNotOptimize(plan->adjoint_value_and_gradient(
+        setup.observable, setup.params, gradient));
+  };
+  using Clock = std::chrono::steady_clock;
+  constexpr int kCalls = 50;
+  const auto seconds_per_call = [&](const auto& call) {
+    const auto t0 = Clock::now();
+    for (int i = 0; i < kCalls; ++i) call();
+    return std::chrono::duration<double>(Clock::now() - t0).count() / kCalls;
+  };
+  seconds_per_call(simulate);  // untimed warmup
+  seconds_per_call(adjoint);
+  constexpr int kReps = 7;
+  std::vector<double> simulate_s;
+  std::vector<double> adjoint_s;
+  std::vector<double> ratios;
+  for (auto _ : state) {
+    for (int rep = 0; rep < kReps; ++rep) {
+      simulate_s.push_back(seconds_per_call(simulate));
+      adjoint_s.push_back(seconds_per_call(adjoint));
+      ratios.push_back(simulate_s.back() / adjoint_s.back());
+    }
+  }
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  state.counters["simulate_seconds"] = median(simulate_s);
+  state.counters["adjoint_seconds"] = median(adjoint_s);
+  state.counters["adjoint_speed_ratio"] = median(ratios);
+  state.SetLabel("q=10 L=5 training ansatz, adjoint pass vs forward pass");
+}
+BENCHMARK(bm_adjoint_speed_ratio)->Unit(benchmark::kMillisecond)
+    ->Iterations(1);
 
 // --- plan verification overhead ---------------------------------------------
 //

@@ -3,15 +3,19 @@
 
 CI's bench-smoke job runs bench_grad_micro once and feeds the JSON here
 together with the baseline checked in under bench/baselines/. The
-comparison gates on the batched-dispatch sweep's two headline counters:
+comparison gates on three headline counters:
 
-  batched_speedup    serial wall-clock / batched wall-clock for a full
-                     parameter-shift gradient (same machine, same run,
-                     so the ratio transfers across hardware)
-  states_per_second  shifted-binding simulations per second of batched
-                     execution (absolute throughput; noisier across
-                     machines, which is why the peak-of-sweep value is
-                     compared rather than per-batch-width rows)
+  batched_speedup      serial wall-clock / batched wall-clock for a full
+                       parameter-shift gradient (same machine, same run,
+                       so the ratio transfers across hardware)
+  states_per_second    shifted-binding simulations per second of batched
+                       execution (absolute throughput; noisier across
+                       machines, which is why the peak-of-sweep value is
+                       compared rather than per-batch-width rows)
+  adjoint_speed_ratio  plan->simulate time / adjoint value-and-gradient
+                       time on the q=10, L=5 training ansatz, median of 7
+                       alternating repeats in one process (a slower
+                       adjoint sweep lowers it on any machine)
 
 For each tracked counter the script takes the PEAK value across every
 benchmark that reports it — the sweep's best batch width — and compares
@@ -22,7 +26,7 @@ reminder to refresh the baseline so the gate keeps teeth.
 
 Usage:
   bench_compare.py CURRENT.json BASELINE.json
-      [--counters batched_speedup,states_per_second]
+      [--counters batched_speedup,states_per_second,adjoint_speed_ratio]
       [--warn-pct 10] [--fail-pct 25]
 
 Exit codes: 0 ok (possibly with warnings), 1 regression beyond
@@ -65,7 +69,7 @@ def main() -> int:
     parser.add_argument("baseline", help="committed baseline JSON")
     parser.add_argument(
         "--counters",
-        default="batched_speedup,states_per_second",
+        default="batched_speedup,states_per_second,adjoint_speed_ratio",
         help="comma-separated counter names to gate on",
     )
     parser.add_argument("--warn-pct", type=float, default=10.0)

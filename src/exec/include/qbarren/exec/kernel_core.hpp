@@ -1,8 +1,9 @@
 // The amplitude-kernel core shared by serial and batched execution.
 //
-// Every in-place kernel of compiled execution runs through one of these
-// entry tables: the serial kernels (qbarren/exec/kernels.hpp) call the
-// active table on a StateVector's amplitudes, and the batched kernels
+// Every amplitude kernel of compiled execution runs through one of these
+// entry tables: the serial kernels (qbarren/exec/kernels.hpp, including
+// the adjoint sweep's combined step) call the active table on a
+// StateVector's amplitudes, and the batched kernels
 // (qbarren/exec/batched_kernels.hpp) call it once per lane.
 //
 // The core is one source built twice — for baseline x86-64 and, on x86-64,
@@ -57,6 +58,18 @@ struct KernelTable {
   /// accumulation order.
   void (*mat4)(double* amps, std::size_t dim, const double* m,
                std::size_t q_low, std::size_t q_high);
+  /// out <- (4x4 on (q_low, q_high)) in, out of place, with mat4's
+  /// accumulation order.
+  void (*mat4_from)(double* out, const double* in, std::size_t dim,
+                    const double* m, std::size_t q_low, std::size_t q_high);
+  /// One adjoint-sweep step for a rotation on `target`: phi <- inv phi;
+  /// sum <- <lambda| dr |phi> (phi after, lambda before its update),
+  /// accumulated from {0, 0} in ascending amplitude index as
+  /// StateVector::inner_product; lambda <- inv lambda. `diagonal` (RZ)
+  /// uses m00 and m11 of inv and dr only. `sum` receives (re, im).
+  void (*adjoint_sweep)(double* phi, double* lambda, std::size_t dim,
+                        const double* inv, const double* dr, bool diagonal,
+                        std::size_t target, double* sum);
 };
 
 /// The baseline build (no instruction-set extension beyond the target's

@@ -2,12 +2,13 @@
 //
 // Each kernel computes, amplitude for amplitude, the same values as the
 // corresponding StateVector member (apply_single_qubit / apply_controlled
-// / apply_cz / apply_two_qubit): the same complex arithmetic per
-// amplitude, so compiled execution is bit-identical to the interpreted
-// path. The in-place and out-of-place loops run in the shared, vectorized
-// kernel core (qbarren/exec/kernel_core.hpp), which walks the amplitude
-// pairs in contiguous runs rather than the interpreter's order — in-place
-// updates of disjoint pairs do not depend on order. The other differences
+// / apply_cz / apply_two_qubit / inner_product): the same complex
+// arithmetic per amplitude, so compiled execution is bit-identical to the
+// interpreted path. Every loop runs in the shared, vectorized kernel core
+// (qbarren/exec/kernel_core.hpp), which walks the amplitude pairs in
+// contiguous runs rather than the interpreter's order — in-place updates
+// of disjoint pairs do not depend on order, and the adjoint sweep's inner
+// product is still summed in ascending index. The other differences
 // are that the 2x2 entries live on the stack (no heap-allocated
 // ComplexMatrix per gate application), that fused runs apply all their
 // gates to one L1-sized chunk of amplitudes before the next, and that the
@@ -88,7 +89,7 @@ void apply_mat4_from(StateVector& dst, const StateVector& src,
 /// One combined adjoint-sweep step for a rotation op: applies `inv` to phi
 /// in place, returns <lambda | dr | inv phi> (lambda read before its own
 /// update), and applies `inv` to lambda in place — the three passes the
-/// sweep otherwise makes per parameter, in two loops over the amplitudes.
+/// sweep otherwise makes per parameter, in one walk over the amplitudes.
 /// Per-amplitude expressions and the inner product's ascending-index
 /// accumulation order match the separate kernels exactly. RZ takes the
 /// diagonal fast path for all three roles.

@@ -4,6 +4,7 @@
 #include <bit>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -511,7 +512,8 @@ double CompiledCircuit::adjoint_value_and_gradient(
   StateVector lambda = observable.apply(phi);
   const double value = phi.inner_product(lambda).real();
 
-  StateVector scratch(num_qubits_);
+  // Only controlled-rotation derivatives need a third state.
+  std::optional<StateVector> scratch;
   for (std::size_t k = n; k-- > 0;) {
     const PlanOp& op = plan_ops_[k];
     if (op.kernel == Kernel::kRotation) {
@@ -534,8 +536,9 @@ double CompiledCircuit::adjoint_value_and_gradient(
       m[1][3] = dr.m01;
       m[3][1] = dr.m10;
       m[3][3] = dr.m11;
-      apply_mat4_from(scratch, phi, m, op.qubit0, op.qubit1);
-      gradient[op.param] += 2.0 * lambda.inner_product(scratch).real();
+      if (!scratch) scratch.emplace(num_qubits_);
+      apply_mat4_from(*scratch, phi, m, op.qubit0, op.qubit1);
+      gradient[op.param] += 2.0 * lambda.inner_product(*scratch).real();
       apply_controlled_mat2(lambda, inv[k], op.qubit0, op.qubit1);
     } else {
       apply_plan_op_inverse_pair(k, phi, lambda, params);

@@ -4,13 +4,10 @@
 
 namespace qbarren::exec {
 
-// The in-place and out-of-place amplitude loops run in the shared kernel
-// core (kernel_core.inc), which batched execution runs too;
-// adjoint_rotation_sweep and apply_mat4_from keep their std::complex loops
-// here: the sweep's ascending-index accumulation order is part of its
-// result, and the out-of-place 4x4 only serves controlled-rotation
-// derivatives. Bounds are validated once at compile
-// (lowering) time, not per application.
+// Every amplitude loop runs in the shared kernel core (kernel_core.inc),
+// which batched execution runs too; these wrappers only pass a
+// StateVector's amplitudes to the active build. Bounds are validated once
+// at compile (lowering) time, not per application.
 
 namespace {
 
@@ -91,97 +88,20 @@ void apply_cz(StateVector& state, std::size_t qubit_a, std::size_t qubit_b) {
 Complex adjoint_rotation_sweep(StateVector& phi, StateVector& lambda,
                                gates::Axis axis, const gates::Mat2& inv,
                                const gates::Mat2& dr, std::size_t target) {
-  auto& p = phi.amplitudes();
-  auto& l = lambda.amplitudes();
-  const std::size_t bit = std::size_t{1} << target;
-  const std::size_t dim = p.size();
-  Complex acc{0.0, 0.0};
-  // Blocks of 2*bit indices: the bit-clear half of each block precedes the
-  // bit-set half in index order, so accumulating the
-  // row-0 terms in the first loop and the row-1 terms in the second
-  // reproduces inner_product's ascending-index order. lambda's own update
-  // happens only after both of its amplitudes fed the accumulator.
-  if (axis == gates::Axis::kZ) {
-    // Diagonal inverse and diagonal derivative: RZ's off-diagonal entries
-    // (and those of (-i/2) Z RZ) are exact zeros; see apply_rotation_mat2.
-    const Complex v00 = inv.m00;
-    const Complex v11 = inv.m11;
-    const Complex d00 = dr.m00;
-    const Complex d11 = dr.m11;
-    for (std::size_t base = 0; base < dim; base += 2 * bit) {
-      for (std::size_t j = 0; j < bit; ++j) {
-        const std::size_t i0 = base + j;
-        const Complex np0 = v00 * p[i0];
-        p[i0] = np0;
-        p[i0 | bit] = v11 * p[i0 | bit];
-        acc += std::conj(l[i0]) * (d00 * np0);
-      }
-      for (std::size_t j = 0; j < bit; ++j) {
-        const std::size_t i0 = base + j;
-        const std::size_t i1 = i0 | bit;
-        acc += std::conj(l[i1]) * (d11 * p[i1]);
-        l[i0] = v00 * l[i0];
-        l[i1] = v11 * l[i1];
-      }
-    }
-    return acc;
-  }
-  const Complex v00 = inv.m00;
-  const Complex v01 = inv.m01;
-  const Complex v10 = inv.m10;
-  const Complex v11 = inv.m11;
-  const Complex d00 = dr.m00;
-  const Complex d01 = dr.m01;
-  const Complex d10 = dr.m10;
-  const Complex d11 = dr.m11;
-  for (std::size_t base = 0; base < dim; base += 2 * bit) {
-    for (std::size_t j = 0; j < bit; ++j) {
-      const std::size_t i0 = base + j;
-      const std::size_t i1 = i0 | bit;
-      const Complex a0 = p[i0];
-      const Complex a1 = p[i1];
-      const Complex np0 = v00 * a0 + v01 * a1;
-      const Complex np1 = v10 * a0 + v11 * a1;
-      p[i0] = np0;
-      p[i1] = np1;
-      acc += std::conj(l[i0]) * (d00 * np0 + d01 * np1);
-    }
-    for (std::size_t j = 0; j < bit; ++j) {
-      const std::size_t i0 = base + j;
-      const std::size_t i1 = i0 | bit;
-      acc += std::conj(l[i1]) * (d10 * p[i0] + d11 * p[i1]);
-      const Complex b0 = l[i0];
-      const Complex b1 = l[i1];
-      l[i0] = v00 * b0 + v01 * b1;
-      l[i1] = v10 * b0 + v11 * b1;
-    }
-  }
-  return acc;
+  Complex sum;
+  core::active_kernels().adjoint_sweep(
+      amps_of(phi), amps_of(lambda), phi.dimension(), as_doubles(&inv),
+      as_doubles(&dr), axis == gates::Axis::kZ, target, as_doubles(&sum));
+  return sum;
 }
 
 void apply_mat4_from(StateVector& dst, const StateVector& src,
                      const Complex (&m)[4][4], std::size_t q_low,
                      std::size_t q_high) {
-  auto& out = dst.amplitudes();
-  const auto& in_amps = src.amplitudes();
-  const std::size_t bl = std::size_t{1} << q_low;
-  const std::size_t bh = std::size_t{1} << q_high;
-  const std::size_t dim = in_amps.size();
-  for (std::size_t i = 0; i < dim; ++i) {
-    if ((i & bl) != 0 || (i & bh) != 0) continue;  // base of each 4-group
-    const std::size_t idx[4] = {i, i | bl, i | bh, i | bl | bh};
-    Complex in[4];
-    for (std::size_t k = 0; k < 4; ++k) {
-      in[k] = in_amps[idx[k]];
-    }
-    for (std::size_t r = 0; r < 4; ++r) {
-      Complex acc{0.0, 0.0};
-      for (std::size_t c = 0; c < 4; ++c) {
-        acc += m[r][c] * in[c];
-      }
-      out[idx[r]] = acc;
-    }
-  }
+  core::active_kernels().mat4_from(amps_of(dst),
+                                   as_doubles(src.amplitudes().data()),
+                                   src.dimension(), as_doubles(&m[0][0]),
+                                   q_low, q_high);
 }
 
 }  // namespace qbarren::exec

@@ -9,7 +9,9 @@
 // counts); the RZ diagonal kernel is additionally held to value equality
 // (==) against the interpreter's full 2x2 apply, whose extra 0 * amplitude
 // products can only change the sign of a zero. The batched kernels, which
-// run the active core per lane, are swept at lane counts 1..5.
+// run the active core per lane, are swept at lane counts 1..5. The adjoint
+// sweep step and the out-of-place 4x4 run to q = 13, and whole adjoint
+// passes are held to the interpreted oracle's bits.
 #include <cstring>
 #include <limits>
 #include <random>
@@ -17,7 +19,10 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "interpreted_oracle.hpp"
+#include "qbarren/circuit/ansatz.hpp"
 #include "qbarren/exec/batched_kernels.hpp"
+#include "qbarren/exec/compiled_circuit.hpp"
 #include "qbarren/exec/kernel_core.hpp"
 #include "qbarren/qsim/batched_statevector.hpp"
 #include "qbarren/qsim/gates.hpp"
@@ -27,6 +32,9 @@ namespace qbarren::exec {
 namespace {
 
 constexpr std::size_t kMaxQubits = 12;
+// The adjoint sweep and the out-of-place 4x4 also run at q = 11..13,
+// where blocks are wider than the core's 1024-amplitude chunk.
+constexpr std::size_t kMaxSweepQubits = 13;
 
 double* raw(StateVector& s) {
   return reinterpret_cast<double*>(s.amplitudes().data());
@@ -231,6 +239,139 @@ TEST_P(KernelCore, TwoQubitKernelsMatchInterpreterOnEveryPair) {
   }
 }
 
+TEST_P(KernelCore, Mat4FromMatchesInterpreter) {
+  std::mt19937_64 rng(707);
+  std::normal_distribution<double> normal;
+  for (std::size_t q = 2; q <= kMaxSweepQubits; ++q) {
+    std::vector<Complex> dense(16);
+    for (Complex& e : dense) e = Complex(normal(rng), normal(rng));
+    dense[6] = Complex(0.0, -0.0);
+    // The controlled-rotation derivative's layout: |1><1| (x) dR, zero
+    // elsewhere (matrix bit 0 = control).
+    const gates::Mat2 dr = gates::rotation_derivative_entries(
+        gates::Axis::kZ, normal(rng));
+    std::vector<Complex> controlled(16);
+    controlled[5] = dr.m00;
+    controlled[7] = dr.m01;
+    controlled[13] = dr.m10;
+    controlled[15] = dr.m11;
+    const auto starts = test_states(q, rng);
+    for (const StateVector& start : starts) {
+      for (std::size_t lo = 0; lo < q; ++lo) {
+        for (std::size_t hi = 0; hi < q; ++hi) {
+          if (lo == hi) continue;
+          for (const auto& entries : {dense, controlled}) {
+            const ComplexMatrix u4(4, 4, entries);
+            StateVector expected = start;
+            expected.apply_two_qubit(u4, lo, hi);
+            // Starts from other amplitudes: every output must be written.
+            StateVector out = starts.front();
+            out.amplitudes()[0] = Complex(-7.0, 7.0);
+            k().mat4_from(raw(out), raw(start), start.dimension(),
+                          reinterpret_cast<const double*>(u4.data().data()),
+                          lo, hi);
+            ASSERT_TRUE(bit_equal(out, expected))
+                << "q=" << q << " low=" << lo << " high=" << hi;
+          }
+        }
+      }
+    }
+  }
+}
+
+/// One adjoint-sweep step as the oracle's three separate passes: the
+/// inverse on phi, the derivative out of place plus inner_product, the
+/// inverse on lambda. `diagonal` applies m00 / m11 products only, as the
+/// RZ kernels do.
+Complex sweep_oracle(StateVector& phi, StateVector& lambda, bool diagonal,
+                     const gates::Mat2& inv, const gates::Mat2& dr,
+                     std::size_t t) {
+  const auto apply = [&](StateVector& s, const gates::Mat2& u) {
+    if (!diagonal) {
+      s.apply_single_qubit(matrix_of(u), t);
+      return;
+    }
+    for (std::size_t i = 0; i < s.dimension(); ++i) {
+      Complex& a = s.amplitudes()[i];
+      a = (((i >> t) & 1) != 0 ? u.m11 : u.m00) * a;
+    }
+  };
+  apply(phi, inv);
+  StateVector derivative = phi;
+  apply(derivative, dr);
+  const Complex sum = lambda.inner_product(derivative);
+  apply(lambda, inv);
+  return sum;
+}
+
+bool bit_equal(Complex a, Complex b) {
+  return std::memcmp(&a, &b, sizeof(Complex)) == 0;
+}
+
+TEST_P(KernelCore, AdjointSweepMatchesOracleBitForBit) {
+  std::mt19937_64 rng(808);
+  std::normal_distribution<double> normal;
+  struct Step {
+    std::string name;
+    bool diagonal;
+    gates::Mat2 inv;
+    gates::Mat2 dr;
+  };
+  for (std::size_t q = 1; q <= kMaxSweepQubits; ++q) {
+    std::vector<Step> steps;
+    for (const gates::Axis axis :
+         {gates::Axis::kX, gates::Axis::kY, gates::Axis::kZ}) {
+      const double theta = normal(rng);
+      steps.push_back({gates::axis_name(axis), axis == gates::Axis::kZ,
+                       gates::rotation_entries(axis, -theta),
+                       gates::rotation_derivative_entries(axis, theta)});
+    }
+    const auto dense = test_gates(rng);
+    steps.push_back({"dense", false, dense[0], dense[1]});
+    // phi and lambda: two random states, and each salted with edge values
+    // against a random partner (never both, so no product overflows).
+    const auto a = test_states(q, rng);
+    const auto b = test_states(q, rng);
+    const std::pair<const StateVector*, const StateVector*> starts[] = {
+        {&a[0], &b[0]}, {&a[1], &b[0]}, {&a[0], &b[1]}};
+    for (const auto& [phi0, lambda0] : starts) {
+      for (std::size_t t = 0; t < q; ++t) {
+        for (const Step& step : steps) {
+          const std::string at = step.name + " q=" + std::to_string(q) +
+                                 " t=" + std::to_string(t);
+          StateVector phi_expected = *phi0;
+          StateVector lambda_expected = *lambda0;
+          const Complex sum_expected =
+              sweep_oracle(phi_expected, lambda_expected, step.diagonal,
+                           step.inv, step.dr, t);
+          StateVector phi = *phi0;
+          StateVector lambda = *lambda0;
+          Complex sum;
+          k().adjoint_sweep(raw(phi), raw(lambda), phi.dimension(),
+                            raw(step.inv), raw(step.dr), step.diagonal, t,
+                            reinterpret_cast<double*>(&sum));
+          ASSERT_TRUE(bit_equal(phi, phi_expected)) << "phi " << at;
+          ASSERT_TRUE(bit_equal(lambda, lambda_expected)) << "lambda " << at;
+          ASSERT_TRUE(bit_equal(sum, sum_expected))
+              << "sum " << at << ": " << sum << " vs " << sum_expected;
+          if (step.diagonal) {
+            // The interpreter's full 2x2 applies, up to the sign of zero.
+            phi_expected = *phi0;
+            lambda_expected = *lambda0;
+            const Complex full =
+                sweep_oracle(phi_expected, lambda_expected, false, step.inv,
+                             step.dr, t);
+            ASSERT_TRUE(value_equal(phi, phi_expected)) << "phi " << at;
+            ASSERT_TRUE(value_equal(lambda, lambda_expected))
+                << "lambda " << at;
+            ASSERT_EQ(sum, full) << "sum " << at;
+          }
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Entries, KernelCore,
                          ::testing::Values("scalar", "avx2"),
                          [](const auto& info) { return info.param; });
@@ -380,6 +521,51 @@ TEST(BatchedKernelCore, RzRotationMatchesInterpreterByValue) {
         }
       }
     }
+  }
+}
+
+// --- whole adjoint passes against the interpreted oracle ----------------------
+
+void expect_adjoint_matches_oracle(const Circuit& circuit,
+                                   const Observable& observable,
+                                   std::uint64_t seed) {
+  Rng rng(seed);
+  const auto params =
+      rng.uniform_vector(circuit.num_parameters(), 0.0, 2.0 * M_PI);
+  const ValueAndGradient expected =
+      oracle::adjoint(circuit, observable, params);
+  std::vector<double> gradient(params.size(), 0.0);
+  const double value = plan_for(circuit)->adjoint_value_and_gradient(
+      observable, params, gradient);
+  EXPECT_EQ(std::memcmp(&value, &expected.value, sizeof value), 0)
+      << value << " vs " << expected.value;
+  ASSERT_EQ(gradient.size(), expected.gradient.size());
+  for (std::size_t i = 0; i < gradient.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&gradient[i], &expected.gradient[i],
+                          sizeof(double)),
+              0)
+        << "param " << i << ": " << gradient[i] << " vs "
+        << expected.gradient[i];
+  }
+}
+
+// The Fig 5b/c circuit (Eq 3, L = 5) under the global cost: q = 10 runs
+// one chunk per sweep step, q = 14 blocks wider than a chunk.
+TEST(AdjointPass, Fig5TrainingCircuitMatchesOracleBitForBit) {
+  for (const std::size_t q : {std::size_t{10}, std::size_t{14}}) {
+    SCOPED_TRACE("q=" + std::to_string(q));
+    expect_adjoint_matches_oracle(training_ansatz(q),
+                                  GlobalZeroObservable(q), 11 + q);
+  }
+}
+
+// RY layers and a CRZ ladder: the controlled-rotation branch (out-of-place
+// 4x4 derivative) beside the sweep step, under a local cost.
+TEST(AdjointPass, ControlledRotationAnsatzMatchesOracleBitForBit) {
+  for (const std::size_t q : {std::size_t{3}, std::size_t{11}}) {
+    SCOPED_TRACE("q=" + std::to_string(q));
+    expect_adjoint_matches_oracle(controlled_rotation_ansatz(q, 3),
+                                  LocalZeroObservable(q), 5 + q);
   }
 }
 
